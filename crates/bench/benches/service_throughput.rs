@@ -4,7 +4,7 @@
 //! The one-shot CLI pays the full cold-start tax on every invocation:
 //! decode the owner vault, rebuild the score sweep and location set,
 //! then extract. The daemon pays it once per model family and serves
-//! every later request from the warm [`FamilyCache`] through the frame
+//! every later request from the warm shared family through the frame
 //! codec. This bench drives the same verification requests down both
 //! paths, asserts the reports are bit-for-bit identical per request,
 //! and gates the warm path at **≥ 10×** the per-request throughput.

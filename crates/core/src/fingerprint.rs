@@ -10,15 +10,20 @@
 //! the leaked weights and returns the one with an overwhelming Eq. 8
 //! margin.
 
+use crate::deploy::{encode_model, LayerIndexEntry, SparseArtifact};
 use crate::scoring::layer_pool;
 use crate::signature::Signature;
+use crate::telemetry::Telemetry;
 use crate::watermark::{
     apply_bits_at, extract_with_locations, locate_watermark, ExtractionReport, GridSource,
     Locations, OwnerSecrets, ProofCutoff, WatermarkConfig, WatermarkError,
 };
+use bytes::Bytes;
 use emmark_quant::QuantizedModel;
 use emmark_tensor::rng::{SplitMix64, Xoshiro256};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A registered device fingerprint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,13 +173,13 @@ impl Fleet {
 /// per-layer candidate pools over the base-watermarked model, with the
 /// base watermark's own cells score-excluded. The pools depend only on
 /// the model family (base weights, activation profile, coefficients),
-/// so a batch verifier ([`crate::fleet`]) computes them once and reuses
-/// them for every device instead of re-scoring per verification.
+/// so a [`Family`] memoizes them per config and every device reuses
+/// them instead of re-scoring.
 ///
 /// # Errors
 ///
 /// Returns [`WatermarkError::Pool`] if a layer cannot fill its pool.
-pub(crate) fn fingerprint_pools(
+fn fingerprint_pools(
     base_deployed: &QuantizedModel,
     stats: &emmark_nanolm::model::ActivationStats,
     base_locs: &Locations,
@@ -203,90 +208,156 @@ pub(crate) fn fingerprint_pools(
     Ok(pools)
 }
 
-/// Everything about a model family that is *device-independent*: the
-/// ownership watermark locations, the base-watermarked reference model,
-/// and the per-layer fingerprint candidate pools (base-excluded).
+/// Fingerprint candidate pools, one per layer (base-excluded).
+pub(crate) type Pools = Vec<Vec<usize>>;
+
+/// Memo key of a [`Pools`] set: the config fields pool scoring reads
+/// ([`WatermarkConfig`] holds `f64`s, so it cannot be `Hash` itself).
+type PoolKey = (u64, u64, usize, usize);
+
+/// Everything about a model family that is *device-independent*, built
+/// once and shared as `Arc<Family>` by every engine over the same owner
+/// secrets: [`crate::provision::FleetProvisioner`],
+/// [`crate::fleet::FleetVerifier`] (and so
+/// [`crate::registry::IndexedFleetVerifier`]) and the `emmarkd` warm
+/// cache ([`crate::service`]).
 ///
-/// Building it pays the full Eqs. 2–4 scoring cost exactly once; both
-/// halves of the fleet pipeline — [`crate::provision::FleetProvisioner`]
-/// (score-once/insert-many) and [`crate::fleet::FleetVerifier`]
-/// (score-once/verify-many) — are thin device loops over this cache,
-/// which is what makes their outputs bit-identical to the serial
-/// [`Fleet`] path by construction.
-#[derive(Debug, Clone)]
-pub(crate) struct FamilyCache {
+/// Building it runs the ownership location pass (Eqs. 2–4 scoring)
+/// exactly once and stamps the base-watermarked reference model every
+/// device starts from. Fingerprint pools are scored on first use and
+/// memoized per fingerprint configuration; the base artifact's v2
+/// encoding is filled only when a provisioning engine asks for it, so
+/// verification never pays for the encode. Engines over one family are
+/// thin device loops over the same state, which is what makes their
+/// outputs bit-identical to the serial [`Fleet`] path by construction.
+#[derive(Debug)]
+pub(crate) struct Family {
+    /// The owner's secret bundle (original model, stats, signature).
+    pub(crate) secrets: OwnerSecrets,
     /// Ownership watermark locations (Eq. 2–4 scoring, once).
     pub(crate) base_locations: Locations,
     /// The base-watermarked reference model every device starts from.
     pub(crate) base_deployed: QuantizedModel,
-    /// Per-layer fingerprint candidate pools, base-excluded.
-    pub(crate) pools: Vec<Vec<usize>>,
+    pools: Mutex<HashMap<PoolKey, Arc<Pools>>>,
+    /// The base-deployed model's v2 artifact and its layer-offset table.
+    base_artifact: OnceLock<(Bytes, Vec<LayerIndexEntry>)>,
 }
 
-impl FamilyCache {
-    /// Validates the secret bundle and derives the cache.
+impl Family {
+    /// Validates the secret bundle and runs the ownership location pass.
     ///
     /// # Errors
     ///
-    /// Rejects an inconsistent bundle
-    /// ([`WatermarkError::SignatureLength`],
+    /// Rejects an inconsistent bundle ([`WatermarkError::SignatureLength`],
     /// [`WatermarkError::InvalidConfig`]) and propagates
-    /// location-reproduction errors.
-    pub(crate) fn build(
-        base: &OwnerSecrets,
-        fingerprint_config: &WatermarkConfig,
-    ) -> Result<Self, WatermarkError> {
-        // Corrupt or hand-edited inputs (vault, registry) must surface
-        // as errors here, not panics inside batch workers.
-        fingerprint_config.validate()?;
-        let expected = base.config.signature_len(base.original.layer_count());
-        if base.signature.len() != expected {
+    /// location-reproduction errors — corrupt or hand-edited vaults
+    /// surface here, not as panics inside batch workers.
+    pub(crate) fn build(secrets: OwnerSecrets) -> Result<Arc<Self>, WatermarkError> {
+        let expected = secrets.config.signature_len(secrets.original.layer_count());
+        if secrets.signature.len() != expected {
             return Err(WatermarkError::SignatureLength {
                 expected,
-                got: base.signature.len(),
+                got: secrets.signature.len(),
             });
         }
-        let base_locations = locate_watermark(&base.original, &base.stats, &base.config)?;
-        // Apply the base watermark at the cached locations (identical to
+        let base_locations = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)?;
+        // Apply the base watermark at the located cells (identical to
         // `OwnerSecrets::watermark_for_deployment`, without re-locating).
-        let mut base_deployed = base.original.clone();
-        apply_bits_at(&mut base_deployed, &base_locations, &base.signature);
-        let pools = fingerprint_pools(
-            &base_deployed,
-            &base.stats,
-            &base_locations,
-            fingerprint_config,
-        )?;
-        if crate::telemetry::Telemetry::enabled() {
+        let mut base_deployed = secrets.original.clone();
+        apply_bits_at(&mut base_deployed, &base_locations, &secrets.signature);
+        if Telemetry::enabled() {
             crate::telemetry::FLEET_CACHE_MISSES.incr();
         }
-        Ok(Self {
+        Ok(Arc::new(Self {
+            secrets,
             base_locations,
             base_deployed,
-            pools,
-        })
+            pools: Mutex::new(HashMap::new()),
+            base_artifact: OnceLock::new(),
+        }))
     }
 
-    /// Derives one device's fingerprint material from the shared pools:
-    /// its registry entry, signature, and sampled locations — pure PRNG
-    /// work, no scoring.
-    pub(crate) fn device_material(
+    /// Ownership watermark extraction against the located cells —
+    /// bit-for-bit the report [`OwnerSecrets::verify`] produces.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WatermarkError::ShapeMismatch`] on a foreign layer grid.
+    pub(crate) fn verify<S: GridSource + ?Sized>(
         &self,
-        fingerprint_config: &WatermarkConfig,
-        device_id: &str,
-    ) -> (DeviceFingerprint, Signature, Locations) {
-        let fp = derive_device(fingerprint_config, device_id);
-        let n = self.base_deployed.layer_count();
-        let sig = Signature::generate(fingerprint_config.signature_len(n), fp.signature_seed);
-        let locs = sample_from_pools(&self.pools, fingerprint_config, fp.selection_seed);
-        (fp, sig, locs)
+        suspect: &S,
+    ) -> Result<ExtractionReport, WatermarkError> {
+        extract_with_locations(
+            suspect,
+            &self.secrets.original,
+            &self.base_locations,
+            &self.secrets.signature,
+        )
     }
+
+    /// The fingerprint candidate pools for `cfg`, scored on first use
+    /// and shared by every later engine with the same pool parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`WatermarkError::InvalidConfig`] for an invalid `cfg` and
+    /// [`WatermarkError::Pool`] if a layer cannot fill its pool.
+    pub(crate) fn pools(&self, cfg: &WatermarkConfig) -> Result<Arc<Pools>, WatermarkError> {
+        cfg.validate()?;
+        let key = (
+            cfg.alpha.to_bits(),
+            cfg.beta.to_bits(),
+            cfg.bits_per_layer,
+            cfg.pool_ratio,
+        );
+        // Every update is one insert of a finished value, so the map is
+        // valid even if a panic poisoned the lock.
+        let memo = || self.pools.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(pools) = memo().get(&key) {
+            return Ok(Arc::clone(pools));
+        }
+        // Score outside the lock; on a race the first insert wins.
+        let built = fingerprint_pools(
+            &self.base_deployed,
+            &self.secrets.stats,
+            &self.base_locations,
+            cfg,
+        )?;
+        Ok(Arc::clone(memo().entry(key).or_insert(Arc::new(built))))
+    }
+
+    /// The base-deployed model's v2 artifact bytes and layer-offset
+    /// table, encoded on first call — only provisioning asks.
+    pub(crate) fn base_artifact(&self) -> &(Bytes, Vec<LayerIndexEntry>) {
+        self.base_artifact.get_or_init(|| {
+            let bytes = encode_model(&self.base_deployed);
+            let index = SparseArtifact::open(&bytes)
+                .expect("freshly encoded artifact is well-formed")
+                .layer_index()
+                .to_vec();
+            (bytes, index)
+        })
+    }
+}
+
+/// One device's signature and sampled locations over a family's shared
+/// pools — pure PRNG work, no scoring. Inlined into the per-device loops
+/// of the other fleet modules: measured ~3% slower per device as a call.
+#[inline]
+pub(crate) fn device_material(
+    pools: &Pools,
+    cfg: &WatermarkConfig,
+    device: &DeviceFingerprint,
+) -> (Signature, Locations) {
+    let sig = Signature::generate(cfg.signature_len(pools.len()), device.signature_seed);
+    let locs = sample_from_pools(pools, cfg, device.selection_seed);
+    (sig, locs)
 }
 
 /// The device-*dependent* half: draws `bits_per_layer` cells per layer
 /// from the shared pools under the device's selection seed. Cheap (pure
 /// PRNG sampling) compared to [`fingerprint_pools`].
-pub(crate) fn sample_from_pools(
+fn sample_from_pools(
     pools: &[Vec<usize>],
     cfg: &WatermarkConfig,
     selection_seed: u64,

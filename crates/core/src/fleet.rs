@@ -11,8 +11,9 @@
 //! (score + sort every layer) and rebuilding the base-watermarked
 //! reference model.
 //!
-//! [`FleetVerifier`] hoists everything device-independent into a
-//! one-time cache per model family:
+//! [`FleetVerifier`] runs over one shared per-family state (the
+//! crate-private `Family` in [`crate::fingerprint`], shared with the
+//! provisioner and the service):
 //!
 //! * the ownership watermark locations,
 //! * the base-watermarked reference weights, and
@@ -33,7 +34,7 @@
 use crate::deploy::{
     artifact_version, decode_model, CodecError, Section, SparseArtifact, FORMAT_V2,
 };
-use crate::fingerprint::{derive_device, sample_from_pools, DeviceFingerprint, FamilyCache, Fleet};
+use crate::fingerprint::{derive_device, device_material, DeviceFingerprint, Family, Fleet, Pools};
 use crate::signature::Signature;
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::{
@@ -41,9 +42,8 @@ use crate::watermark::{
     ProofCutoff, WatermarkConfig, WatermarkError,
 };
 use bytes::{BufMut, Bytes, BytesMut};
-use emmark_quant::QuantizedModel;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Errors of fleet verification: a suspect artifact that fails to
 /// decode, or watermark extraction failing on the decoded model.
@@ -109,22 +109,18 @@ impl FleetVerdict {
 
 /// Batch verification engine over a registry of device fingerprints.
 ///
-/// Construction pays the device-independent costs once (ownership
-/// locations, base-watermarked reference, fingerprint candidate pools,
-/// per-device signatures and locations); every verification afterwards
+/// Construction pays the device-independent costs once — or not at all
+/// when it shares an existing `Family` (ownership locations,
+/// base-watermarked reference, fingerprint candidate pools) — plus the
+/// per-device signatures and locations; every verification afterwards
 /// is read-only, so batches parallelize freely.
 #[derive(Debug, Clone)]
 pub struct FleetVerifier {
-    base: OwnerSecrets,
+    family: Arc<Family>,
     fingerprint_config: WatermarkConfig,
     devices: Vec<DeviceFingerprint>,
-    /// Cached ownership watermark locations (Eq. 2–4 scoring, once).
-    base_locations: Locations,
-    /// Cached base-watermarked reference weights (fingerprint diffs are
-    /// taken against this shared state).
-    base_deployed: QuantizedModel,
-    /// Cached per-layer fingerprint candidate pools, base-excluded.
-    pools: Vec<Vec<usize>>,
+    /// The family's fingerprint candidate pools for this config.
+    pools: Arc<Pools>,
     /// Per registered device: its signature and sampled locations.
     device_material: Vec<(Signature, Locations)>,
 }
@@ -145,7 +141,7 @@ impl FleetVerifier {
     }
 
     /// Builds the engine from raw parts — typically secrets loaded from
-    /// the vault plus a registry loaded with [`decode_registry`].
+    /// the vault plus a registry loaded from an EMFM manifest.
     ///
     /// # Errors
     ///
@@ -157,44 +153,36 @@ impl FleetVerifier {
         fingerprint_config: WatermarkConfig,
         devices: Vec<DeviceFingerprint>,
     ) -> Result<Self, WatermarkError> {
-        let cache = FamilyCache::build(&base, &fingerprint_config)?;
-        Ok(Self::from_cache(base, fingerprint_config, devices, cache))
+        // Reject a bad config before paying for the location pass.
+        fingerprint_config.validate()?;
+        Self::from_family(Family::build(base)?, fingerprint_config, devices)
     }
 
-    /// Builds the engine around an already-derived [`FamilyCache`] —
-    /// the provision→verify flow ([`crate::provision::FleetProvisioner`])
-    /// reuses its cache here instead of paying the Eqs. 2–4 scoring a
-    /// second time.
-    pub(crate) fn from_cache(
-        base: OwnerSecrets,
+    /// Builds the engine over a shared `Family`: only the pools for
+    /// `fingerprint_config` (memoized) and the per-device material are
+    /// derived, no ownership location pass.
+    ///
+    /// # Errors
+    ///
+    /// [`WatermarkError::InvalidConfig`] for an invalid config, and
+    /// pool-scoring errors.
+    pub(crate) fn from_family(
+        family: Arc<Family>,
         fingerprint_config: WatermarkConfig,
         devices: Vec<DeviceFingerprint>,
-        cache: FamilyCache,
-    ) -> Self {
-        let FamilyCache {
-            base_locations,
-            base_deployed,
-            pools,
-        } = cache;
-        let n = base_deployed.layer_count();
+    ) -> Result<Self, WatermarkError> {
+        let pools = family.pools(&fingerprint_config)?;
         let device_material = devices
             .iter()
-            .map(|d| {
-                let sig =
-                    Signature::generate(fingerprint_config.signature_len(n), d.signature_seed);
-                let locs = sample_from_pools(&pools, &fingerprint_config, d.selection_seed);
-                (sig, locs)
-            })
+            .map(|d| device_material(&pools, &fingerprint_config, d))
             .collect();
-        Self {
-            base,
+        Ok(Self {
+            family,
             fingerprint_config,
             devices,
-            base_locations,
-            base_deployed,
             pools,
             device_material,
-        }
+        })
     }
 
     /// The registered devices, in registration order.
@@ -222,12 +210,7 @@ impl FleetVerifier {
         if Telemetry::enabled() {
             telemetry::FLEET_REPORTS.incr();
         }
-        extract_with_locations(
-            suspect,
-            &self.base.original,
-            &self.base_locations,
-            &self.base.signature,
-        )
+        self.family.verify(suspect)
     }
 
     /// Fingerprint extraction for one device — bit-for-bit the report
@@ -246,22 +229,17 @@ impl FleetVerifier {
         if Telemetry::enabled() {
             telemetry::FLEET_REPORTS.incr();
         }
+        let base = &self.family.base_deployed;
         match self.devices.iter().position(|d| d == device) {
             Some(i) => {
                 let (sig, locs) = &self.device_material[i];
-                extract_with_locations(leaked, &self.base_deployed, locs, sig)
+                extract_with_locations(leaked, base, locs, sig)
             }
             None => {
                 // Unregistered fingerprint: derive its material on the
                 // fly from the shared pools.
-                let n = self.base_deployed.layer_count();
-                let sig = Signature::generate(
-                    self.fingerprint_config.signature_len(n),
-                    device.signature_seed,
-                );
-                let locs =
-                    sample_from_pools(&self.pools, &self.fingerprint_config, device.selection_seed);
-                extract_with_locations(leaked, &self.base_deployed, &locs, &sig)
+                let (sig, locs) = device_material(&self.pools, &self.fingerprint_config, device);
+                extract_with_locations(leaked, base, &locs, &sig)
             }
         }
     }
@@ -285,8 +263,9 @@ impl FleetVerifier {
         // devices — almost all of them — then cost an integer compare
         // instead of a binomial tail.
         let mut cutoff = ProofCutoff::new(log10_threshold);
+        let base = &self.family.base_deployed;
         for (device, (sig, locs)) in self.devices.iter().zip(&self.device_material) {
-            let report = extract_with_locations(leaked, &self.base_deployed, locs, sig)?;
+            let report = extract_with_locations(leaked, base, locs, sig)?;
             if !cutoff.clears(&report) {
                 continue;
             }
@@ -343,17 +322,17 @@ impl FleetVerifier {
             // registry; neither may the index path.
             return Ok(None);
         }
-        check_same_grid(leaked, &self.base_deployed)?;
+        let base = &self.family.base_deployed;
+        check_same_grid(leaked, base)?;
         // A hand-edited manifest could name cells outside the grid;
         // reject it up front instead of panicking mid-count.
-        if let Some((l, f)) = index.cell_out_of_bounds(&self.base_deployed) {
+        if let Some((l, f)) = index.cell_out_of_bounds(base) {
             return Err(WatermarkError::InvalidConfig(format!(
                 "leak index references cell (layer {l}, flat {f}) outside the registry's layer grid"
             )));
         }
         let mut cutoff = ProofCutoff::new(log10_threshold);
-        let n = self.base_deployed.layer_count();
-        let total_bits = self.fingerprint_config.signature_len(n);
+        let total_bits = self.fingerprint_config.signature_len(base.layer_count());
         let Some(min_matched) = cutoff.min_matched(total_bits) else {
             // Even a perfect fingerprint match cannot clear the
             // threshold — the linear scan skips every device.
@@ -365,10 +344,10 @@ impl FleetVerifier {
         // Candidates come back in registration order, so tie-breaking
         // (strictly-better wins, first registration kept) matches the
         // linear scan exactly.
-        for d in index.candidates(leaked, &self.base_deployed, min_matched) {
+        for d in index.candidates(leaked, base, min_matched) {
             candidates += 1;
             let (sig, locs) = &self.device_material[d];
-            let report = extract_with_locations(leaked, &self.base_deployed, locs, sig)?;
+            let report = extract_with_locations(leaked, base, locs, sig)?;
             if !cutoff.clears(&report) {
                 continue;
             }
@@ -395,7 +374,7 @@ impl FleetVerifier {
     pub fn leak_index(&self) -> crate::registry::LeakIndex {
         crate::registry::LeakIndex::from_material(
             self.devices.len(),
-            self.base_deployed.layer_count(),
+            self.pools.len(),
             self.device_material.iter(),
         )
     }
@@ -459,46 +438,6 @@ impl FleetVerifier {
         par_map(artifacts, jobs, |a| {
             self.verify_artifact(a.as_ref(), log10_threshold)
         })
-    }
-
-    /// Verifies every device artifact of an EMFB bundle *stream* —
-    /// entries are pulled off the reader in rings of at most
-    /// `max_resident` artifacts, each ring verified in parallel like
-    /// [`Self::verify_batch`], then dropped before the next is read.
-    /// Peak memory is O(`max_resident` × artifact), independent of
-    /// fleet size; verdicts are bit-identical to decoding the whole
-    /// bundle and batch-verifying it.
-    ///
-    /// Returns `(device id, verdict)` pairs in bundle order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the stream's codec/I/O error if the bundle itself is
-    /// unreadable (a broken entry makes everything after it garbage);
-    /// per-artifact verification failures stay inside the verdict list.
-    pub fn verify_bundle_stream<R: std::io::Read>(
-        &self,
-        stream: &mut crate::vault::FleetBundleStream<R>,
-        log10_threshold: f64,
-        jobs: Option<usize>,
-        max_resident: usize,
-    ) -> Result<BundleVerdicts, crate::store::StoreError> {
-        let ring = max_resident.max(1);
-        let mut out = Vec::new();
-        loop {
-            let mut ids = Vec::with_capacity(ring);
-            let mut artifacts = Vec::with_capacity(ring);
-            for entry in stream.by_ref().take(ring) {
-                let device = entry?;
-                ids.push(device.fingerprint.device_id);
-                artifacts.push(device.artifact);
-            }
-            if artifacts.is_empty() {
-                return Ok(out);
-            }
-            let verdicts = self.verify_batch(&artifacts, log10_threshold, jobs);
-            out.extend(ids.into_iter().zip(verdicts));
-        }
     }
 }
 

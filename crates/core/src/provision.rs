@@ -4,19 +4,21 @@
 //! A proprietor stamps one model family onto thousands of edge devices:
 //! every device carries the same ownership watermark plus its own
 //! traitor-tracing fingerprint ([`crate::fingerprint`]). The serial
-//! [`Fleet::provision`] path repeats two expensive, device-independent
-//! computations per device — Eqs. 2–4 scoring to reproduce the
-//! ownership locations and the fingerprint candidate pools, and a full
+//! [`Fleet::provision`](crate::fingerprint::Fleet::provision) path
+//! repeats two expensive, device-independent computations per device —
+//! Eqs. 2–4 scoring to reproduce the ownership locations and the
+//! fingerprint candidate pools, and a full
 //! [`crate::deploy::encode_model`] pass to produce the device artifact.
 //!
-//! [`FleetProvisioner`] hoists everything device-independent into a
-//! one-time cache per model family (the same
-//! [`FamilyCache`](crate::fingerprint) the batch verifier uses):
+//! [`FleetProvisioner`] runs over the one shared per-family state (the
+//! crate-private `Family` in [`crate::fingerprint`], the same one the
+//! batch verifier and the service use):
 //!
 //! * the ownership watermark locations and the base-watermarked
 //!   reference model,
 //! * the per-layer fingerprint candidate pools (base-excluded), and
 //! * the base artifact's **v2 encoding plus its layer-offset index**,
+//!   which provisioning fills on first use,
 //!
 //! after which provisioning one device is pure PRNG sampling plus a
 //! delta patch: the device artifact is the base artifact with the
@@ -27,12 +29,14 @@
 //! [`FleetVerifier::verify_batch`].
 //!
 //! Cached and serial paths are bit-for-bit identical: provisioned
-//! models equal [`Fleet::provision`]'s, and provisioned artifacts are
-//! *byte*-identical to encoding the serial models. The module tests and
-//! `tests/provision_equivalence.rs` pin both equivalences.
+//! models equal
+//! [`Fleet::provision`](crate::fingerprint::Fleet::provision)'s, and
+//! provisioned artifacts are *byte*-identical to encoding the serial
+//! models. The module tests and `tests/provision_equivalence.rs` pin
+//! both equivalences.
 
-use crate::deploy::{encode_model, splice_patches, CellPatch, LayerIndexEntry, SparseArtifact};
-use crate::fingerprint::{DeviceFingerprint, FamilyCache, Fleet};
+use crate::deploy::{splice_patches, CellPatch};
+use crate::fingerprint::{derive_device, device_material, DeviceFingerprint, Family, Pools};
 use crate::fleet::{encode_registry, par_map, FleetVerifier};
 use crate::signature::Signature;
 use crate::store::StoreError;
@@ -41,13 +45,15 @@ use crate::vault::FleetBundleWriter;
 use crate::watermark::{apply_bits_at, Locations, OwnerSecrets, WatermarkConfig, WatermarkError};
 use bytes::Bytes;
 use emmark_quant::QuantizedModel;
+use std::sync::Arc;
 
 /// One provisioned device: its registry entry and its deployable v2
 /// artifact (byte-identical to encoding the serially fingerprinted
 /// model).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProvisionedDevice {
-    /// The registry entry [`Fleet::provision`] would record.
+    /// The registry entry
+    /// [`Fleet::provision`](crate::fingerprint::Fleet::provision) would record.
     pub fingerprint: DeviceFingerprint,
     /// The device's deploy-codec artifact (v2, indexed).
     pub artifact: Vec<u8>,
@@ -57,19 +63,15 @@ pub struct ProvisionedDevice {
 /// watermark once per model family, then stamp per-device fingerprints
 /// in parallel.
 ///
-/// Construction pays the device-independent costs once; every
-/// provisioning call afterwards is read-only over the cache, so batches
-/// parallelize freely.
+/// Construction pays the device-independent costs once (or shares a
+/// family that already paid them); every provisioning call afterwards
+/// is read-only over the family, so batches parallelize freely.
 #[derive(Debug, Clone)]
 pub struct FleetProvisioner {
-    base: OwnerSecrets,
+    family: Arc<Family>,
     fingerprint_config: WatermarkConfig,
-    cache: FamilyCache,
-    /// The base-watermarked model encoded to v2 bytes, once.
-    base_artifact: Bytes,
-    /// The base artifact's layer-offset table, parsed once — the delta
-    /// encoder patches device cells straight through it.
-    index: Vec<LayerIndexEntry>,
+    /// The family's fingerprint candidate pools for this config.
+    pools: Arc<Pools>,
 }
 
 impl FleetProvisioner {
@@ -86,18 +88,28 @@ impl FleetProvisioner {
         base: OwnerSecrets,
         fingerprint_config: WatermarkConfig,
     ) -> Result<Self, WatermarkError> {
-        let cache = FamilyCache::build(&base, &fingerprint_config)?;
-        let base_artifact = encode_model(&cache.base_deployed);
-        let index = SparseArtifact::open(&base_artifact)
-            .expect("freshly encoded artifact is well-formed")
-            .layer_index()
-            .to_vec();
+        // Reject a bad config before paying for the location pass.
+        fingerprint_config.validate()?;
+        Self::from_family(Family::build(base)?, fingerprint_config)
+    }
+
+    /// Builds the engine over a shared `Family`, encoding the family's
+    /// base artifact if no provisioner has yet.
+    ///
+    /// # Errors
+    ///
+    /// [`WatermarkError::InvalidConfig`] for an invalid config, and
+    /// pool-scoring errors.
+    pub(crate) fn from_family(
+        family: Arc<Family>,
+        fingerprint_config: WatermarkConfig,
+    ) -> Result<Self, WatermarkError> {
+        let pools = family.pools(&fingerprint_config)?;
+        family.base_artifact();
         Ok(Self {
-            base,
+            family,
             fingerprint_config,
-            cache,
-            base_artifact,
-            index,
+            pools,
         })
     }
 
@@ -106,31 +118,36 @@ impl FleetProvisioner {
         &self.fingerprint_config
     }
 
-    /// The shared family cache — sharded registry provisioning
-    /// ([`crate::registry`]) derives per-device material through it.
-    pub(crate) fn family_cache(&self) -> &FamilyCache {
-        &self.cache
+    /// Derives one device's fingerprint material from the shared pools:
+    /// its registry entry, signature, and sampled locations — pure PRNG
+    /// work, no scoring. Sharded registry provisioning
+    /// ([`crate::registry`]) derives its entries through it too.
+    pub(crate) fn device_material(
+        &self,
+        device_id: &str,
+    ) -> (DeviceFingerprint, Signature, Locations) {
+        let fp = derive_device(&self.fingerprint_config, device_id);
+        let (sig, locs) = device_material(&self.pools, &self.fingerprint_config, &fp);
+        (fp, sig, locs)
     }
 
     /// The shared base-watermarked model (ownership watermark only, no
     /// fingerprint) — the state every device artifact is a delta of.
     pub fn base_deployed(&self) -> &QuantizedModel {
-        &self.cache.base_deployed
+        &self.family.base_deployed
     }
 
     /// The base-watermarked model's v2 artifact bytes.
     pub fn base_artifact(&self) -> &[u8] {
-        &self.base_artifact
+        &self.family.base_artifact().0
     }
 
     /// Provisions one device as an in-memory model — bit-identical to
-    /// [`Fleet::provision`] for the same device id, without mutating a
-    /// registry.
+    /// [`Fleet::provision`](crate::fingerprint::Fleet::provision) for the same
+    /// device id, without mutating a registry.
     pub fn provision_model(&self, device_id: &str) -> (DeviceFingerprint, QuantizedModel) {
-        let (fp, sig, locs) = self
-            .cache
-            .device_material(&self.fingerprint_config, device_id);
-        let mut deployed = self.cache.base_deployed.clone();
+        let (fp, sig, locs) = self.device_material(device_id);
+        let mut deployed = self.family.base_deployed.clone();
         apply_bits_at(&mut deployed, &locs, &sig);
         (fp, deployed)
     }
@@ -139,14 +156,15 @@ impl FleetProvisioner {
     /// artifact: one [`CellPatch`] per signature bit. Shared by the
     /// buffered and streaming artifact emitters.
     fn device_patches(&self, sig: &Signature, locs: &Locations) -> Vec<CellPatch> {
-        let n = self.cache.base_deployed.layer_count();
+        let base = &self.family.base_deployed;
+        let n = base.layer_count();
         let mut patches = Vec::with_capacity(sig.len());
         for (l, layer_locs) in locs.iter().enumerate() {
             let bits = sig.layer_bits(l, n);
             for (&f, &b) in layer_locs.iter().zip(bits) {
                 // Same arithmetic as `bump_q_flat`: pools exclude
                 // clamped cells, so the bump stays in range.
-                let q = self.cache.base_deployed.layers[l].q_at_flat(f) + b;
+                let q = base.layers[l].q_at_flat(f) + b;
                 patches.push(CellPatch {
                     layer: l,
                     flat: f,
@@ -163,11 +181,10 @@ impl FleetProvisioner {
     /// `encode_model(&fleet.provision(device_id))`, at one buffer copy
     /// plus O(fingerprint bits) cost.
     pub fn provision_artifact(&self, device_id: &str) -> ProvisionedDevice {
-        let (fingerprint, sig, locs) = self
-            .cache
-            .device_material(&self.fingerprint_config, device_id);
+        let (fingerprint, sig, locs) = self.device_material(device_id);
         let patches = self.device_patches(&sig, &locs);
-        let artifact = crate::deploy::patch_artifact(&self.base_artifact, &self.index, &patches)
+        let (base, index) = self.family.base_artifact();
+        let artifact = crate::deploy::patch_artifact(base, index, &patches)
             .expect("pool-derived patches are always in range");
         if Telemetry::enabled() {
             telemetry::PROVISION_DEVICES.incr();
@@ -194,11 +211,10 @@ impl FleetProvisioner {
         device_id: &str,
         out: W,
     ) -> Result<DeviceFingerprint, StoreError> {
-        let (fingerprint, sig, locs) = self
-            .cache
-            .device_material(&self.fingerprint_config, device_id);
+        let (fingerprint, sig, locs) = self.device_material(device_id);
         let patches = self.device_patches(&sig, &locs);
-        splice_patches(&self.base_artifact, &self.index, &patches, out)?;
+        let (base, index) = self.family.base_artifact();
+        splice_patches(base, index, &patches, out)?;
         if Telemetry::enabled() {
             telemetry::PROVISION_DEVICES.incr();
         }
@@ -224,13 +240,12 @@ impl FleetProvisioner {
     ) -> Result<Vec<DeviceFingerprint>, StoreError> {
         let mut writer = FleetBundleWriter::new(out, &self.fingerprint_config, device_ids.len())?;
         let mut devices = Vec::with_capacity(device_ids.len());
+        let (base, index) = self.family.base_artifact();
         for id in device_ids {
-            let (fingerprint, sig, locs) = self
-                .cache
-                .device_material(&self.fingerprint_config, id.as_ref());
+            let (fingerprint, sig, locs) = self.device_material(id.as_ref());
             let patches = self.device_patches(&sig, &locs);
-            writer.append_streamed(&fingerprint, self.base_artifact.len(), |w| {
-                splice_patches(&self.base_artifact, &self.index, &patches, w)
+            writer.append_streamed(&fingerprint, base.len(), |w| {
+                splice_patches(base, index, &patches, w)
             })?;
             if Telemetry::enabled() {
                 telemetry::PROVISION_DEVICES.incr();
@@ -262,33 +277,24 @@ impl FleetProvisioner {
         encode_registry(&self.fingerprint_config, &devices)
     }
 
-    /// A [`FleetVerifier`] over the same family cache — the
-    /// provision→verify flow without paying the Eqs. 2–4 scoring a
-    /// second time. Verdicts are bit-identical to
+    /// A [`FleetVerifier`] over the same family — the provision→verify
+    /// flow without paying the Eqs. 2–4 scoring a second time or
+    /// copying any model. Verdicts are bit-identical to
     /// [`FleetVerifier::from_parts`] on the same inputs.
     pub fn verifier(&self, devices: Vec<DeviceFingerprint>) -> FleetVerifier {
         if Telemetry::enabled() {
             telemetry::FLEET_CACHE_HITS.incr();
         }
-        FleetVerifier::from_cache(
-            self.base.clone(),
-            self.fingerprint_config,
-            devices,
-            self.cache.clone(),
-        )
-    }
-
-    /// Converts into the serial [`Fleet`] API with `devices` already
-    /// registered (e.g. to keep provisioning incrementally).
-    pub fn into_fleet(self, devices: Vec<DeviceFingerprint>) -> Fleet {
-        Fleet::with_devices(self.base, self.fingerprint_config, devices)
+        FleetVerifier::from_family(Arc::clone(&self.family), self.fingerprint_config, devices)
+            .expect("this config's pools were memoized when the provisioner was built")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::decode_model;
+    use crate::deploy::{decode_model, encode_model};
+    use crate::fingerprint::Fleet;
     use emmark_nanolm::config::ModelConfig;
     use emmark_nanolm::TransformerModel;
     use emmark_quant::awq::{awq, AwqConfig};
@@ -413,25 +419,6 @@ mod tests {
             .expect("verify");
         assert_eq!(verdict.ownership.wer(), 100.0);
         assert!(verdict.attribution.is_none(), "false attribution");
-    }
-
-    #[test]
-    fn into_fleet_continues_the_registry_where_the_batch_left_off() {
-        let provisioner = FleetProvisioner::new(base_secrets(), fp_cfg()).expect("cache");
-        let provisioned = provisioner.provision_batch(&["a", "b"], None);
-        let devices: Vec<DeviceFingerprint> =
-            provisioned.iter().map(|p| p.fingerprint.clone()).collect();
-        let mut fleet = provisioner.into_fleet(devices.clone());
-        assert_eq!(fleet.devices(), devices.as_slice());
-        let c = fleet.provision("c").expect("provision");
-        assert_eq!(fleet.devices().len(), 3);
-        // The incremental device matches a from-scratch serial fleet.
-        let mut serial = Fleet::new(base_secrets(), fp_cfg());
-        for id in ["a", "b"] {
-            serial.provision(id).expect("provision");
-        }
-        let serial_c = serial.provision("c").expect("provision");
-        assert!(c.same_weights(&serial_c));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Sharded fleet registries with indexed, sublinear leak identification.
 //!
-//! A single `EMFR` registry file works for thousands of devices but not
-//! for millions: it must be decoded whole, and [`crate::fleet::FleetVerifier::identify_leak`]
-//! scores every registered device against a suspect. This module scales
-//! both axes:
+//! This is the one on-disk fleet registry layout. A flat registry must
+//! be decoded whole, and [`crate::fleet::FleetVerifier::identify_leak`]
+//! scores every registered device against a suspect; neither scales to
+//! millions of devices. This module scales both axes:
 //!
 //! * **Sharded layout** — device entries are split across
 //!   `registry-NNNNN.emfr` shard files (each an ordinary `EMFR` registry
@@ -52,8 +52,8 @@ use crate::deploy::{
 };
 use crate::fingerprint::{fxhash, DeviceFingerprint};
 use crate::fleet::{
-    encode_registry, par_map, read_device_entry, FleetError, FleetVerdict, FleetVerifier,
-    REGISTRY_MAGIC, REGISTRY_VERSION,
+    encode_registry, par_map, read_device_entry, BundleVerdicts, FleetError, FleetVerdict,
+    FleetVerifier, REGISTRY_MAGIC, REGISTRY_VERSION,
 };
 use crate::provision::FleetProvisioner;
 use crate::signature::Signature;
@@ -516,7 +516,7 @@ pub struct ShardedFleet {
 /// `shard_count` shards, streaming each shard's encoded bytes into
 /// `sink` as soon as it is built — per-shard memory, not per-fleet.
 /// Device material is derived in parallel on `jobs` worker threads
-/// through the provisioner's family cache, so entries and the leak
+/// from the provisioner's shared family, so entries and the leak
 /// index are bit-identical to serially provisioning the same ids.
 ///
 /// Shards hold `ceil(n / shard_count)` consecutive devices each; with
@@ -550,8 +550,7 @@ where
         )));
     }
     let cfg = provisioner.fingerprint_config();
-    let cache = provisioner.family_cache();
-    let n_layers = cache.base_deployed.layer_count();
+    let n_layers = provisioner.base_deployed().layer_count();
     let per_shard = device_ids.len().div_ceil(shard_count).max(1);
     // One shard at a time: derive the chunk's material, fold it into
     // the incremental index, encode and sink the shard, drop the chunk.
@@ -563,7 +562,7 @@ where
     for (i, chunk_ids) in device_ids.chunks(per_shard).enumerate() {
         let stamp_span = telemetry::Span::enter(&telemetry::SHARD_STAMP_NS);
         let chunk = par_map(chunk_ids, jobs, |id| {
-            cache.device_material(cfg, id.as_ref())
+            provisioner.device_material(id.as_ref())
         });
         drop(stamp_span);
         let index_span = telemetry::Span::enter(&telemetry::SHARD_INDEX_NS);
@@ -762,11 +761,22 @@ fn decode_shard(
 
 /// The indexed verification engine: a [`FleetVerifier`] paired with its
 /// [`LeakIndex`], so leak attribution is sublinear in fleet size while
-/// every verdict stays bit-identical to the linear engine.
+/// every verdict stays bit-identical to the linear engine. It is the one
+/// verification engine of the CLI and the service; the linear scan
+/// ([`Self::verifier`]) stays reachable as the oracle.
 #[derive(Debug, Clone)]
 pub struct IndexedFleetVerifier {
     verifier: FleetVerifier,
     index: LeakIndex,
+}
+
+impl From<FleetVerifier> for IndexedFleetVerifier {
+    /// Indexes a registry that came without a persisted index (an EMFR
+    /// registry or an EMFB bundle) with [`FleetVerifier::leak_index`].
+    fn from(verifier: FleetVerifier) -> Self {
+        let index = verifier.leak_index();
+        Self { verifier, index }
+    }
 }
 
 impl IndexedFleetVerifier {
@@ -869,6 +879,46 @@ impl IndexedFleetVerifier {
         par_map(artifacts, jobs, |a| {
             self.verify_artifact(a.as_ref(), log10_threshold)
         })
+    }
+
+    /// Verifies every device artifact of an EMFB bundle *stream* —
+    /// entries are pulled off the reader in rings of at most
+    /// `max_resident` artifacts, each ring verified in parallel like
+    /// [`Self::verify_batch`], then dropped before the next is read.
+    /// Peak memory is O(`max_resident` × artifact), independent of
+    /// fleet size; verdicts are bit-identical to decoding the whole
+    /// bundle and batch-verifying it.
+    ///
+    /// Returns `(device id, verdict)` pairs in bundle order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the stream's codec/I/O error if the bundle itself is
+    /// unreadable (a broken entry makes everything after it garbage);
+    /// per-artifact verification failures stay inside the verdict list.
+    pub fn verify_bundle_stream<R: std::io::Read>(
+        &self,
+        stream: &mut crate::vault::FleetBundleStream<R>,
+        log10_threshold: f64,
+        jobs: Option<usize>,
+        max_resident: usize,
+    ) -> Result<BundleVerdicts, StoreError> {
+        let ring = max_resident.max(1);
+        let mut out = Vec::new();
+        loop {
+            let mut ids = Vec::with_capacity(ring);
+            let mut artifacts = Vec::with_capacity(ring);
+            for entry in stream.by_ref().take(ring) {
+                let device = entry?;
+                ids.push(device.fingerprint.device_id);
+                artifacts.push(device.artifact);
+            }
+            if artifacts.is_empty() {
+                return Ok(out);
+            }
+            let verdicts = self.verify_batch(&artifacts, log10_threshold, jobs);
+            out.extend(ids.into_iter().zip(verdicts));
+        }
     }
 }
 

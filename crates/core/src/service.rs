@@ -3,9 +3,12 @@
 //! The one-shot CLI pays the family cold-start tax on every invocation:
 //! decoding the owner vault, re-scoring ownership locations, and rebuilding
 //! fingerprint pools. When requests arrive as traffic rather than one-offs,
-//! that tax dominates wall-clock. This module keeps one warm family entry per
-//! owner vault behind a small LRU and schedules framed requests across a
-//! bounded worker pool with explicit backpressure.
+//! that tax dominates wall-clock. This module keeps one warm, shared
+//! `Family` per owner vault behind a small LRU — the same per-family state
+//! the fleet provisioner and verifier run over, built once whichever
+//! request needs it first — and schedules framed requests across a
+//! bounded worker pool with explicit backpressure. Leak identification
+//! always runs through one [`IndexedFleetVerifier`] per registry input.
 //!
 //! # Framing protocol
 //!
@@ -19,8 +22,8 @@
 //!
 //! Responses are bit-identical to the one-shot CLI for the same inputs: the
 //! warm path caches `locate_watermark` output and replays
-//! [`extract_with_locations`], which is deterministic given the same
-//! artifact bytes.
+//! [`crate::watermark::extract_with_locations`], which is deterministic
+//! given the same artifact bytes.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read as IoRead, Write as IoWrite};
@@ -35,7 +38,7 @@ use crate::deploy::{
     artifact_version, decode_model, put_string, put_watermark_config, CodecError, Reader, Section,
     SparseArtifact, FORMAT_V2,
 };
-use crate::fingerprint::{fxhash, DeviceFingerprint};
+use crate::fingerprint::{fxhash, DeviceFingerprint, Family};
 use crate::fleet::{decode_registry, FleetVerifier};
 use crate::provision::FleetProvisioner;
 use crate::registry::{decode_manifest, load_sharded_registry, IndexedFleetVerifier};
@@ -47,10 +50,7 @@ use crate::telemetry::{
     SERVICE_VERIFY_NS,
 };
 use crate::vault::{decode_secrets, FleetBundleStream};
-use crate::watermark::{
-    extract_with_locations, locate_watermark, ExtractionReport, GridSource, Locations,
-    OwnerSecrets, WatermarkConfig, WatermarkError,
-};
+use crate::watermark::{ExtractionReport, GridSource, WatermarkConfig, WatermarkError};
 
 /// Protocol version carried in every frame payload.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -729,89 +729,6 @@ impl Drop for BudgetLease<'_> {
 // Warm family cache
 // ---------------------------------------------------------------------------
 
-/// Hashable key for a fingerprint configuration ([`WatermarkConfig`] holds
-/// `f64`s so cannot implement `Hash` itself).
-type FpKey = (u64, u64, usize, usize, u64);
-
-fn fp_key(cfg: &WatermarkConfig) -> FpKey {
-    (
-        cfg.alpha.to_bits(),
-        cfg.beta.to_bits(),
-        cfg.bits_per_layer,
-        cfg.pool_ratio,
-        cfg.selection_seed,
-    )
-}
-
-#[derive(Clone)]
-enum VerifierKind {
-    Linear(Arc<FleetVerifier>),
-    Indexed(Arc<IndexedFleetVerifier>),
-}
-
-/// Everything kept warm for one owner vault (one model family).
-struct FamilyEntry {
-    secrets: OwnerSecrets,
-    locations: Locations,
-    provisioners: Mutex<HashMap<FpKey, Arc<FleetProvisioner>>>,
-    verifiers: Mutex<HashMap<CacheKey, VerifierKind>>,
-}
-
-impl FamilyEntry {
-    fn load(bytes: &[u8]) -> Result<Self, ServiceError> {
-        let secrets = decode_secrets(bytes)?;
-        // Mirror extract_watermark's precondition so a bad vault fails here,
-        // once, instead of on every warm request.
-        let expected = secrets.config.signature_len(secrets.original.layer_count());
-        if secrets.signature.len() != expected {
-            return Err(WatermarkError::SignatureLength {
-                expected,
-                got: secrets.signature.len(),
-            }
-            .into());
-        }
-        let locations = locate_watermark(&secrets.original, &secrets.stats, &secrets.config)?;
-        Ok(FamilyEntry {
-            secrets,
-            locations,
-            provisioners: Mutex::new(HashMap::new()),
-            verifiers: Mutex::new(HashMap::new()),
-        })
-    }
-
-    /// Warm-path verification: replay extraction over the cached ownership
-    /// locations. Bit-identical to [`OwnerSecrets::verify`] because
-    /// [`locate_watermark`] is deterministic for fixed inputs.
-    fn verify<S: GridSource + ?Sized>(
-        &self,
-        suspect: &S,
-    ) -> Result<ExtractionReport, WatermarkError> {
-        extract_with_locations(
-            suspect,
-            &self.secrets.original,
-            &self.locations,
-            &self.secrets.signature,
-        )
-    }
-
-    fn provisioner(&self, fp_cfg: &WatermarkConfig) -> Result<Arc<FleetProvisioner>, ServiceError> {
-        let key = fp_key(fp_cfg);
-        if let Some(p) = self.provisioners.lock().unwrap().get(&key) {
-            if Telemetry::enabled() {
-                SERVICE_CACHE_HITS.incr();
-            }
-            return Ok(Arc::clone(p));
-        }
-        if Telemetry::enabled() {
-            SERVICE_CACHE_MISSES.incr();
-        }
-        // Build outside the lock; on a race the first insert wins.
-        let built = Arc::new(FleetProvisioner::new(self.secrets.clone(), *fp_cfg)?);
-        let mut map = self.provisioners.lock().unwrap();
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
-    }
-}
-
 /// Cache identity for raw input bytes (vaults, registries): two
 /// independently seeded FNV-style passes plus the input length. A
 /// single 64-bit non-cryptographic hash is too narrow to key cached
@@ -851,13 +768,16 @@ fn stat_stamp(path: &str) -> Option<PathStamp> {
 /// backstop against clients cycling through endless one-shot paths.
 const PATH_KEY_CAP: usize = 1024;
 
-/// A small LRU of warm [`FamilyEntry`]s keyed by the vault byte hash,
-/// with a path→key side table that lets unchanged vault files skip the
-/// read-and-hash on every warm request.
+/// A small LRU of warm [`Family`]s keyed by the vault byte hash, with a
+/// path→key side table that lets unchanged vault files skip the
+/// read-and-hash on every warm request. Verifiers built over a family
+/// for a registry input stay warm beside it and leave with it.
 struct FamilyLru {
     capacity: usize,
     tick: u64,
-    entries: HashMap<CacheKey, (u64, Arc<FamilyEntry>)>,
+    entries: HashMap<CacheKey, (u64, Arc<Family>)>,
+    /// Keyed by (family key, registry byte key).
+    verifiers: HashMap<(CacheKey, CacheKey), Arc<IndexedFleetVerifier>>,
     path_keys: HashMap<String, (PathStamp, CacheKey)>,
 }
 
@@ -867,6 +787,7 @@ impl FamilyLru {
             capacity: capacity.max(1),
             tick: 0,
             entries: HashMap::new(),
+            verifiers: HashMap::new(),
             path_keys: HashMap::new(),
         }
     }
@@ -933,15 +854,16 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; submissions beyond it get [`Response::Busy`].
     pub queue_capacity: usize,
-    /// Warm family (vault) entries kept behind the LRU. This — not
+    /// Warm families (one per vault) kept behind the LRU. This — not
     /// `max_resident_bytes` — is what bounds steady-state cache memory:
-    /// resident memory is roughly this many decoded vaults plus their
-    /// location tables and sub-caches.
+    /// resident memory is roughly this many families (decoded vault,
+    /// base-deployed model, pools, base artifact once provisioned) plus
+    /// the verifiers built over them.
     pub cache_capacity: usize,
     /// Shared cap on *transient per-request* artifact bytes (request
     /// blobs read while a request is in flight), if any. Leases release
-    /// when the request finishes; warm [`FamilyLru`] entries are not
-    /// charged against this budget — size those via `cache_capacity`.
+    /// when the request finishes; warm families are not charged against
+    /// this budget — size those via `cache_capacity`.
     pub max_resident_bytes: Option<u64>,
     /// Backoff hint carried in [`Response::Busy`].
     pub retry_after_ms: u32,
@@ -1238,7 +1160,7 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             log10_threshold,
         } => {
             let _span = Span::enter(&SERVICE_VERIFY_NS);
-            let family = load_family(inner, &secrets, &mut lease)?;
+            let (_, family) = load_family(inner, &secrets, &mut lease)?;
             let bytes = load_blob(&suspect, "suspect artifact", &mut lease)?;
             let report = verify_suspect(&family, &bytes)?;
             let proved = report.proves_ownership(log10_threshold);
@@ -1253,9 +1175,9 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             device_id,
         } => {
             let _span = Span::enter(&SERVICE_PROVISION_NS);
-            let family = load_family(inner, &secrets, &mut lease)?;
-            let provisioner = family.provisioner(&fingerprint_config)?;
-            let device = provisioner.provision_artifact(&device_id);
+            let (_, family) = load_family(inner, &secrets, &mut lease)?;
+            let device = FleetProvisioner::from_family(family, fingerprint_config)?
+                .provision_artifact(&device_id);
             lease.charge(device.artifact.len() as u64);
             Ok(Response::Provision {
                 fingerprint: device.fingerprint,
@@ -1270,8 +1192,8 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             linear,
         } => {
             let _span = Span::enter(&SERVICE_IDENTIFY_NS);
-            let family = load_family(inner, &secrets, &mut lease)?;
-            let verifier = load_verifier(&family, &registry, &mut lease)?;
+            let (key, family) = load_family(inner, &secrets, &mut lease)?;
+            let verifier = load_verifier(inner, key, &family, &registry, &mut lease)?;
             let bytes = load_blob(&suspect, "suspect artifact", &mut lease)?;
             let matched = identify_suspect(&verifier, &bytes, log10_threshold, linear)?;
             Ok(Response::Identify { matched })
@@ -1321,7 +1243,7 @@ fn load_family(
     inner: &Arc<Inner>,
     secrets: &Blob,
     lease: &mut BudgetLease<'_>,
-) -> Result<Arc<FamilyEntry>, ServiceError> {
+) -> Result<(CacheKey, Arc<Family>), ServiceError> {
     // Fast path for path blobs: an unchanged (mtime, length) stamp
     // resolves to the previously hashed key without reading the vault,
     // so a warm hit costs a stat, not a half-megabyte read-and-hash.
@@ -1338,12 +1260,12 @@ fn load_family(
             .get(*path)
             .and_then(|(s, key)| (s == stamp).then_some(*key))
         {
-            if let Some((at, entry)) = lru.entries.get_mut(&key) {
+            if let Some((at, family)) = lru.entries.get_mut(&key) {
                 *at = tick;
                 if Telemetry::enabled() {
                     SERVICE_CACHE_HITS.incr();
                 }
-                return Ok(Arc::clone(entry));
+                return Ok((key, Arc::clone(family)));
             }
         }
     }
@@ -1354,41 +1276,43 @@ fn load_family(
         lru.tick += 1;
         let tick = lru.tick;
         remember_path_key(&mut lru, &stamped, key);
-        if let Some((at, entry)) = lru.entries.get_mut(&key) {
+        if let Some((at, family)) = lru.entries.get_mut(&key) {
             *at = tick;
             if Telemetry::enabled() {
                 SERVICE_CACHE_HITS.incr();
             }
-            return Ok(Arc::clone(entry));
+            return Ok((key, Arc::clone(family)));
         }
     }
-    // Build the entry outside the LRU lock: locate_watermark is the
-    // expensive cold-start step and must not serialize unrelated families.
+    // Build the family outside the LRU lock: the ownership location pass
+    // is the expensive cold-start step and must not serialize unrelated
+    // families.
     if Telemetry::enabled() {
         SERVICE_CACHE_MISSES.incr();
     }
-    let built = Arc::new(FamilyEntry::load(&bytes)?);
+    let built = Family::build(decode_secrets(&bytes)?)?;
     let mut lru = inner.cache.lock().unwrap();
     lru.tick += 1;
     let tick = lru.tick;
     if let Some((stamp, existing)) = lru.entries.get_mut(&key) {
         // Lost a build race; keep the incumbent.
         *stamp = tick;
-        return Ok(Arc::clone(existing));
+        return Ok((key, Arc::clone(existing)));
     }
     if lru.entries.len() >= lru.capacity {
         if let Some((&evict, _)) = lru.entries.iter().min_by_key(|(_, (stamp, _))| *stamp) {
             lru.entries.remove(&evict);
+            lru.verifiers.retain(|(family, _), _| *family != evict);
             if Telemetry::enabled() {
                 SERVICE_EVICTIONS.incr();
             }
         }
     }
     lru.entries.insert(key, (tick, Arc::clone(&built)));
-    Ok(built)
+    Ok((key, built))
 }
 
-fn verify_suspect(family: &FamilyEntry, bytes: &[u8]) -> Result<ExtractionReport, ServiceError> {
+fn verify_suspect(family: &Family, bytes: &[u8]) -> Result<ExtractionReport, ServiceError> {
     if artifact_version(bytes)? == FORMAT_V2 {
         let sparse = SparseArtifact::open(bytes)?;
         Ok(family.verify(&sparse)?)
@@ -1399,60 +1323,80 @@ fn verify_suspect(family: &FamilyEntry, bytes: &[u8]) -> Result<ExtractionReport
 }
 
 fn identify_suspect(
-    kind: &VerifierKind,
+    verifier: &IndexedFleetVerifier,
     bytes: &[u8],
     log10_threshold: f64,
     linear: bool,
 ) -> Result<Option<(DeviceFingerprint, ReportSummary)>, ServiceError> {
     if artifact_version(bytes)? == FORMAT_V2 {
         let sparse = SparseArtifact::open(bytes)?;
-        identify_grid(kind, &sparse, log10_threshold, linear)
+        identify_grid(verifier, &sparse, log10_threshold, linear)
     } else {
         let model = decode_model(bytes)?;
-        identify_grid(kind, &model, log10_threshold, linear)
+        identify_grid(verifier, &model, log10_threshold, linear)
     }
 }
 
 fn identify_grid<S: GridSource + ?Sized>(
-    kind: &VerifierKind,
+    verifier: &IndexedFleetVerifier,
     suspect: &S,
     log10_threshold: f64,
     linear: bool,
 ) -> Result<Option<(DeviceFingerprint, ReportSummary)>, ServiceError> {
-    let matched = match kind {
-        VerifierKind::Indexed(iv) if !linear => iv.identify_leak(suspect, log10_threshold)?,
-        VerifierKind::Indexed(iv) => iv.verifier().identify_leak(suspect, log10_threshold)?,
-        VerifierKind::Linear(v) => v.identify_leak(suspect, log10_threshold)?,
+    // `linear` routes to the full scan — the oracle the index must match.
+    let matched = if linear {
+        verifier
+            .verifier()
+            .identify_leak(suspect, log10_threshold)?
+    } else {
+        verifier.identify_leak(suspect, log10_threshold)?
     };
     Ok(matched.map(|(fp, report)| (fp.clone(), ReportSummary::from(&report))))
 }
 
 fn load_verifier(
-    family: &Arc<FamilyEntry>,
+    inner: &Arc<Inner>,
+    family_key: CacheKey,
+    family: &Arc<Family>,
     registry: &Blob,
     lease: &mut BudgetLease<'_>,
-) -> Result<VerifierKind, ServiceError> {
+) -> Result<Arc<IndexedFleetVerifier>, ServiceError> {
     let bytes = load_blob(registry, "fleet registry", lease)?;
-    let key = cache_key(&bytes);
-    if let Some(kind) = family.verifiers.lock().unwrap().get(&key) {
+    let key = (family_key, cache_key(&bytes));
+    // Poisoned only if a worker panicked while holding the cache.
+    let lock = || inner.cache.lock().expect("cache lock poisoned");
+    if let Some(verifier) = lock().verifiers.get(&key) {
         if Telemetry::enabled() {
             SERVICE_CACHE_HITS.incr();
         }
-        return Ok(kind.clone());
+        return Ok(Arc::clone(verifier));
     }
     if Telemetry::enabled() {
         SERVICE_CACHE_MISSES.incr();
     }
-    let built = build_verifier(family, registry, &bytes)?;
-    let mut map = family.verifiers.lock().unwrap();
-    Ok(map.entry(key).or_insert(built).clone())
+    let built = Arc::new(build_verifier(family, registry, &bytes)?);
+    let mut lru = lock();
+    // Keep it warm only while its family is: an evicted (or evicted and
+    // rebuilt) family's verifiers must not outlive it in the map.
+    let resident = lru
+        .entries
+        .get(&family_key)
+        .is_some_and(|(_, warm)| Arc::ptr_eq(warm, family));
+    if !resident {
+        return Ok(built);
+    }
+    Ok(Arc::clone(lru.verifiers.entry(key).or_insert(built)))
 }
 
+/// The one verification engine over `family` for a registry input: an
+/// EMFM manifest brings its persisted leak index, EMFR registries and
+/// EMFB bundles are indexed on load.
 fn build_verifier(
-    family: &Arc<FamilyEntry>,
+    family: &Arc<Family>,
     registry: &Blob,
     bytes: &[u8],
-) -> Result<VerifierKind, ServiceError> {
+) -> Result<IndexedFleetVerifier, ServiceError> {
+    let engine = |fp_cfg, devices| FleetVerifier::from_family(Arc::clone(family), fp_cfg, devices);
     if bytes.len() < 4 {
         return Err(ServiceError::Other(
             "registry input is too short to carry a container magic".to_string(),
@@ -1461,9 +1405,7 @@ fn build_verifier(
     match &bytes[..4] {
         b"EMFR" => {
             let (fp_cfg, devices) = decode_registry(bytes)?;
-            Ok(VerifierKind::Linear(Arc::new(linear_engine(
-                family, &fp_cfg, devices,
-            )?)))
+            Ok(engine(fp_cfg, devices)?.into())
         }
         b"EMFB" => {
             let mut stream = FleetBundleStream::open(std::io::Cursor::new(bytes))?;
@@ -1471,9 +1413,7 @@ fn build_verifier(
             let devices = (&mut stream)
                 .map(|d| d.map(|dev| dev.fingerprint))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(VerifierKind::Linear(Arc::new(linear_engine(
-                family, &fp_cfg, devices,
-            )?)))
+            Ok(engine(fp_cfg, devices)?.into())
         }
         b"EMFM" => {
             let Blob::Path(manifest_path) = registry else {
@@ -1488,36 +1428,14 @@ fn build_verifier(
                 .map(PathBuf::from)
                 .unwrap_or_default();
             let sharded = load_sharded_registry(bytes, |shard| std::fs::read(dir.join(shard)))?;
-            let fp_cfg = *sharded.fingerprint_config();
-            let devices = sharded.devices().to_vec();
-            let index = sharded.index().clone();
-            let linear = linear_engine(family, &fp_cfg, devices)?;
-            Ok(VerifierKind::Indexed(Arc::new(IndexedFleetVerifier::new(
-                linear, index,
-            )?)))
+            let (fp_cfg, devices, index) = sharded.into_parts();
+            Ok(IndexedFleetVerifier::new(engine(fp_cfg, devices)?, index)?)
         }
         magic => Err(ServiceError::Other(format!(
             "unrecognised registry container magic {:?} (expected EMFR, EMFB, or EMFM)",
             String::from_utf8_lossy(magic)
         ))),
     }
-}
-
-/// Builds a linear fleet verifier, reusing a warm provisioner's family cache
-/// when one exists for the same fingerprint configuration.
-fn linear_engine(
-    family: &Arc<FamilyEntry>,
-    fp_cfg: &WatermarkConfig,
-    devices: Vec<DeviceFingerprint>,
-) -> Result<FleetVerifier, ServiceError> {
-    if let Some(provisioner) = family.provisioners.lock().unwrap().get(&fp_key(fp_cfg)) {
-        return Ok(provisioner.verifier(devices));
-    }
-    Ok(FleetVerifier::from_parts(
-        family.secrets.clone(),
-        *fp_cfg,
-        devices,
-    )?)
 }
 
 fn inspect_target(

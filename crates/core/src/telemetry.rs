@@ -339,12 +339,12 @@ registry! {
         /// open, one byte per cell probe).
         SPARSE_BYTES: "emmark_sparse_bytes_read_total" =>
             "Bytes read through the sparse artifact path";
-        /// Family caches reused instead of rebuilt.
+        /// Shared families reused instead of rebuilt.
         FLEET_CACHE_HITS: "emmark_fleet_family_cache_hits_total" =>
-            "FamilyCache reuses (verifier built from an existing cache)";
-        /// Family caches built from scratch (full Eq. 2–4 scoring pass).
+            "Family reuses (verifier built over a provisioner's family)";
+        /// Families built from scratch (the ownership location pass).
         FLEET_CACHE_MISSES: "emmark_fleet_family_cache_misses_total" =>
-            "FamilyCache builds (full scoring pass over the base model)";
+            "Family builds (one ownership location pass each)";
         /// Device/ownership verification reports produced.
         FLEET_REPORTS: "emmark_fleet_verify_reports_total" =>
             "Verification reports produced by the fleet engine";

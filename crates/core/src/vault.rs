@@ -169,7 +169,7 @@ pub struct FleetBundle {
 /// Serializes a provisioned fleet in bulk: one vault file holding the
 /// fingerprint parameters, every registry entry, and every device
 /// artifact — the single-file counterpart of `fleet-provision`'s
-/// directory of `.emqm` files plus `fleet.emfr`. Implemented over the
+/// directory of `.emqm` files plus `fleet.emfm`. Implemented over the
 /// streaming [`FleetBundleWriter`] writing into a `Vec`, so the
 /// buffered and streaming encoders cannot drift.
 ///

@@ -25,25 +25,22 @@
 //!                                                   provisioning: fingerprint N
 //!                                                   device artifacts by delta-
 //!                                                   patching the base artifact,
-//!                                                   write the fleet registry (and
-//!                                                   optionally one bundle file);
-//!                                                   with --shards, also an EMFM
-//!                                                   sharded registry (manifest +
-//!                                                   registry-NNNNN.emfr shard
-//!                                                   files + leak index); with a
-//!                                                   budget, artifacts and bundle
-//!                                                   are spliced straight to disk,
+//!                                                   write the sharded registry
+//!                                                   (fleet.emfm manifest + leak
+//!                                                   index over --shards, default
+//!                                                   1, registry-NNNNN.emfr shard
+//!                                                   files) and optionally one
+//!                                                   bundle file; with a budget,
+//!                                                   artifacts and bundle are
+//!                                                   spliced straight to disk,
 //!                                                   never resident
-//! emmark fleet-verify --secrets FILE (--registry FILE --artifacts DIR
-//!                     | --manifest FILE --artifacts DIR | --bundle FILE)
+//! emmark fleet-verify --secrets FILE (--manifest FILE --artifacts DIR | --bundle FILE)
 //!                     [--threshold L] [--jobs N]    parallel batch verification +
-//!                                                   leak tracing over a directory
-//!                                                   or a provisioned-fleet bundle
-//!                                                   (bundles stream through a
-//!                                                   bounded ring of artifacts);
-//!                                                   --manifest loads a sharded
-//!                                                   registry and traces through
-//!                                                   its leak index
+//!                                                   indexed leak tracing over a
+//!                                                   directory or a provisioned-
+//!                                                   fleet bundle (bundles stream
+//!                                                   through a bounded ring of
+//!                                                   artifacts)
 //! emmark identify-leak --secrets FILE --manifest FILE --suspect FILE
 //!                      [--threshold L] [--linear]   trace one leaked artifact to
 //!                                                   the responsible device through
@@ -79,13 +76,11 @@ use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
 use emmark::core::deploy::{
     artifact_version, decode_model, encode_model, encode_model_into, SparseArtifact, FORMAT_V2,
 };
-use emmark::core::fleet::{
-    decode_registry, encode_registry, FleetError, FleetVerdict, FleetVerifier,
-};
+use emmark::core::fleet::{FleetError, FleetVerdict, FleetVerifier};
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into,
-    IndexedFleetVerifier, LeakIndex,
+    IndexedFleetVerifier,
 };
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
 use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
@@ -171,9 +166,8 @@ USAGE:
   emmark fleet-provision --secrets FILE --out-dir DIR --devices N
                          [--prefix NAME] [--fp-bits N] [--fp-pool N] [--fp-seed S]
                          [--jobs N] [--bundle FILE] [--shards N] [--max-resident-mb M]
-  emmark fleet-verify    --secrets FILE (--registry FILE --artifacts DIR
-                         | --manifest FILE --artifacts DIR | --bundle FILE)
-                         [--threshold L] [--jobs N]
+  emmark fleet-verify    --secrets FILE (--manifest FILE --artifacts DIR
+                         | --bundle FILE) [--threshold L] [--jobs N]
   emmark identify-leak   --secrets FILE --manifest FILE --suspect FILE
                          [--threshold L] [--linear]
   emmark serve           [--socket PATH] [--workers N] [--queue N]
@@ -234,7 +228,6 @@ fn allowed_opts(command: &str) -> Option<&'static [&'static str]> {
         ],
         "fleet-verify" => &[
             "secrets",
-            "registry",
             "artifacts",
             "manifest",
             "bundle",
@@ -273,6 +266,14 @@ fn parse_opts(args: &[String], allowed: &[&str]) -> Result<HashMap<String, Strin
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected an option, found `{key}`"));
         };
+        if name == "registry" {
+            return Err(
+                "--registry was removed: fleet-provision writes a sharded registry; \
+                 pass its manifest with --manifest DIR/fleet.emfm (re-run fleet-provision \
+                 over the same devices to write one)"
+                    .to_string(),
+            );
+        }
         if !allowed.contains(&name) {
             return Err(format!("unknown option --{name}"));
         }
@@ -867,6 +868,7 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let jobs: usize = parsed(opts, "jobs", 0)?;
     let jobs = if jobs == 0 { None } else { Some(jobs) };
+    let shard_count: usize = parsed(opts, "shards", 1)?;
     let budget = memory_budget(opts)?;
     let fp_cfg = WatermarkConfig {
         bits_per_layer: fp_bits,
@@ -894,20 +896,13 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
             println!("note: --jobs is ignored under --max-resident-mb (streaming mode is serial)");
         }
         println!("streaming provisioning (device artifacts spliced straight to disk)…");
-        let mut fingerprints = Vec::with_capacity(ids.len());
         for id in &ids {
             let out = create_file(&out_dir.join(format!("{id}.emqm")))?;
-            fingerprints.push(
-                provisioner
-                    .provision_artifact_into(id, out)
-                    .map_err(|e| e.to_string())?,
-            );
+            provisioner
+                .provision_artifact_into(id, out)
+                .map_err(|e| e.to_string())?;
         }
         batch_time = start.elapsed();
-        write_file(
-            &out_dir.join("fleet.emfr"),
-            &encode_registry(provisioner.fingerprint_config(), &fingerprints),
-        )?;
         if let Some(bundle_path) = opts.get("bundle") {
             provisioner
                 .provision_bundle_into(&ids, create_file(Path::new(bundle_path))?)
@@ -923,10 +918,6 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
                 &device.artifact,
             )?;
         }
-        write_file(
-            &out_dir.join("fleet.emfr"),
-            &provisioner.registry(&provisioned),
-        )?;
         if let Some(bundle_path) = opts.get("bundle") {
             write_file(
                 Path::new(bundle_path),
@@ -938,30 +929,29 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
             println!("wrote fleet bundle to {bundle_path}");
         }
     }
-    if let Some(raw) = opts.get("shards") {
-        let shard_count: usize = raw
-            .parse()
-            .map_err(|_| format!("--shards: cannot parse `{raw}`"))?;
-        // Sharded registry: device entries split across registry-NNNNN
-        // shard files under an EMFM manifest that also persists the
-        // fingerprint-cell inverted index. Each shard is written as soon
-        // as it is encoded — per-shard memory, not per-fleet.
-        let start = std::time::Instant::now();
-        let manifest =
-            provision_sharded_into(&provisioner, &ids, shard_count, jobs, |name, bytes| {
-                std::fs::write(out_dir.join(name), bytes)
-            })
-            .map_err(|e| e.to_string())?;
-        write_file(&out_dir.join("fleet.emfm"), &encode_manifest(&manifest))?;
-        println!(
-            "wrote sharded registry: {} shard file(s) + fleet.emfm manifest \
-             ({} leak-index cells over {} devices) in {:.1} ms",
-            manifest.shards.len(),
-            manifest.index.cell_count(),
-            manifest.total_devices,
-            start.elapsed().as_secs_f64() * 1e3
-        );
-    }
+    // The registry: device entries split across registry-NNNNN shard
+    // files under an EMFM manifest that also persists the
+    // fingerprint-cell inverted index. Each shard is written as soon as
+    // it is encoded — per-shard memory, not per-fleet.
+    let start = std::time::Instant::now();
+    let shard_jobs = if budget.is_some() { Some(1) } else { jobs };
+    let manifest = provision_sharded_into(
+        &provisioner,
+        &ids,
+        shard_count,
+        shard_jobs,
+        |name, bytes| std::fs::write(out_dir.join(name), bytes),
+    )
+    .map_err(|e| e.to_string())?;
+    write_file(&out_dir.join("fleet.emfm"), &encode_manifest(&manifest))?;
+    println!(
+        "wrote sharded registry: {} shard file(s) + fleet.emfm manifest \
+         ({} leak-index cells over {} devices) in {:.1} ms",
+        manifest.shards.len(),
+        manifest.index.cell_count(),
+        manifest.total_devices,
+        start.elapsed().as_secs_f64() * 1e3
+    );
     println!(
         "provisioned {devices} fingerprinted artifacts in {} ({fp_bits} fingerprint bits/layer; \
          score-once cache {:.1} ms, delta-patched batch {:.1} ms)",
@@ -971,7 +961,7 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
     );
     enforce_memory_budget(budget)?;
     println!(
-        "try: emmark fleet-verify --secrets SECRETS --registry {0}/fleet.emfr --artifacts {0}",
+        "try: emmark fleet-verify --secrets SECRETS --manifest {0}/fleet.emfm --artifacts {0}",
         out_dir.display()
     );
     Ok(())
@@ -1015,36 +1005,38 @@ fn load_manifest(manifest_path: &str) -> Result<emmark::core::registry::ShardedR
         .map_err(|e| format!("loading {manifest_path}: {e}"))
 }
 
-/// Where the suspect artifacts for `fleet-verify` come from: a
-/// provisioned-fleet bundle that is streamed (twice — fingerprints,
-/// then artifacts), or a directory of `.emqm` files read up front.
-enum FleetSource {
-    Bundle(String),
-    Dir(Vec<String>, Vec<Vec<u8>>),
-}
-
 fn open_bundle(path: &str) -> Result<FleetBundleStream<BufReader<File>>, String> {
     let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     FleetBundleStream::open(BufReader::new(file)).map_err(|e| e.to_string())
 }
 
 fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
+    let bundle = opts.get("bundle");
+    // A bundle carries its own registry and artifacts; silently
+    // preferring one source over another would verify the wrong fleet.
+    if let Some(other) = ["manifest", "artifacts"]
+        .into_iter()
+        .find(|k| bundle.is_some() && opts.contains_key(*k))
+    {
+        return Err(format!(
+            "--bundle and --{other} cannot be combined: verify a bundle or a \
+             --manifest/--artifacts directory, not both"
+        ));
+    }
     let secrets =
         decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
     let threshold: f64 = parsed(opts, "threshold", -6.0)?;
     let jobs: usize = parsed(opts, "jobs", 0)?;
     let jobs = if jobs == 0 { None } else { Some(jobs) };
 
-    // Three sources — a provisioned-fleet bundle, a sharded EMFM
-    // manifest, or a flat registry plus a directory of .emqm files —
-    // all resolved to the same raw parts (fingerprint config, device
-    // list, optional leak index) so the expensive family cache below is
-    // built exactly once, through a single from_parts call site.
-    let (fp_cfg, devices, index, source): (_, _, Option<LeakIndex>, FleetSource) =
-        if let Some(bundle_path) = opts.get("bundle") {
-            // Pass 1: collect the registry entries (artifacts are read
-            // and dropped one at a time — never the whole fleet).
-            let mut stream = open_bundle(bundle_path)?;
+    // Both sources resolve to the same raw parts (fingerprint config,
+    // device list, leak index if persisted) so the family below is
+    // built exactly once. A bundle is streamed twice — fingerprints
+    // now, artifacts after — and never resident whole; a directory's
+    // .emqm files are read up front.
+    let (fp_cfg, devices, index, dir) = match bundle {
+        Some(path) => {
+            let mut stream = open_bundle(path)?;
             let fp_cfg = *stream.fingerprint_config();
             // The declared count is untrusted input; cap the
             // pre-allocation and let real entries grow the vector.
@@ -1052,69 +1044,44 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
             for entry in &mut stream {
                 devices.push(entry.map_err(|e| e.to_string())?.fingerprint);
             }
-            (
-                fp_cfg,
-                devices,
-                None,
-                FleetSource::Bundle(bundle_path.clone()),
-            )
-        } else if let Some(manifest_path) = opts.get("manifest") {
-            // Sharded registry: decode the EMFM manifest, splice the
-            // shard files into one device list, and trace leaks through
-            // the persisted inverted index instead of scoring every
-            // device.
-            let registry = load_manifest(manifest_path)?;
-            let (names, artifacts) = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
+            (fp_cfg, devices, None, None)
+        }
+        None => {
+            let registry = load_manifest(required(opts, "manifest")?)?;
+            let dir = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
             let (fp_cfg, devices, index) = registry.into_parts();
-            (
-                fp_cfg,
-                devices,
-                Some(index),
-                FleetSource::Dir(names, artifacts),
-            )
-        } else {
-            let (fp_cfg, devices) = decode_registry(&read_file(required(opts, "registry")?)?)
-                .map_err(|e| e.to_string())?;
-            let (names, artifacts) = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
-            (fp_cfg, devices, None, FleetSource::Dir(names, artifacts))
-        };
+            (fp_cfg, devices, Some(index), Some(dir))
+        }
+    };
 
-    match &index {
-        Some(ix) => println!(
-            "building the verification cache ({} registered devices, {} leak-index cells)…",
-            devices.len(),
-            ix.cell_count()
-        ),
-        None => println!(
-            "building the verification cache ({} registered devices)…",
-            devices.len()
-        ),
-    }
+    println!(
+        "building the verification cache ({} registered devices)…",
+        devices.len()
+    );
     let start = std::time::Instant::now();
     let verifier =
         FleetVerifier::from_parts(secrets, fp_cfg, devices).map_err(|e| e.to_string())?;
+    let verifier = match index {
+        Some(ix) => IndexedFleetVerifier::new(verifier, ix).map_err(|e| e.to_string())?,
+        None => IndexedFleetVerifier::from(verifier),
+    };
     let cache_time = start.elapsed();
 
     let start = std::time::Instant::now();
-    let verdicts: Vec<(String, Result<FleetVerdict, FleetError>)> = match source {
-        FleetSource::Bundle(path) => {
+    let verdicts: Vec<(String, Result<FleetVerdict, FleetError>)> = match (bundle, dir) {
+        (_, Some((names, artifacts))) => names
+            .into_iter()
+            .zip(verifier.verify_batch(&artifacts, threshold, jobs))
+            .collect(),
+        (Some(path), None) => {
             // Pass 2: stream the bundle again, verifying rings of
             // artifacts in parallel.
             let ring = jobs.unwrap_or(4).max(1) * 4;
-            let mut stream = open_bundle(&path)?;
             verifier
-                .verify_bundle_stream(&mut stream, threshold, jobs, ring)
+                .verify_bundle_stream(&mut open_bundle(path)?, threshold, jobs, ring)
                 .map_err(|e| e.to_string())?
         }
-        FleetSource::Dir(names, artifacts) => {
-            let batch = match index {
-                Some(ix) => IndexedFleetVerifier::new(verifier, ix)
-                    .map_err(|e| e.to_string())?
-                    .verify_batch(&artifacts, threshold, jobs),
-                None => verifier.verify_batch(&artifacts, threshold, jobs),
-            };
-            names.into_iter().zip(batch).collect()
-        }
+        (None, None) => unreachable!("a fleet-verify source is either a bundle or a directory"),
     };
     let verify_time = start.elapsed();
 
