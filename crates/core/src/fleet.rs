@@ -45,10 +45,14 @@ use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Errors of fleet verification: a suspect artifact that fails to
-/// decode, or watermark extraction failing on the decoded model.
+/// Errors of fleet verification: an artifact file that cannot be read,
+/// a suspect artifact that fails to decode, or watermark extraction
+/// failing on the decoded model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetError {
+    /// The artifact file could not be read (vanished, unreadable, …);
+    /// the message names the file.
+    Io(String),
     /// The artifact bytes are not a valid deploy-codec model.
     Codec(CodecError),
     /// Extraction failed (shape mismatch, pool shortage, …).
@@ -58,6 +62,7 @@ pub enum FleetError {
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FleetError::Io(msg) => write!(f, "artifact read failed: {msg}"),
             FleetError::Codec(e) => write!(f, "artifact decode failed: {e}"),
             FleetError::Watermark(e) => write!(f, "verification failed: {e}"),
         }
@@ -67,6 +72,7 @@ impl std::fmt::Display for FleetError {
 impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            FleetError::Io(_) => None,
             FleetError::Codec(e) => Some(e),
             FleetError::Watermark(e) => Some(e),
         }
@@ -458,6 +464,20 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    par_map_with(items, jobs, || (), |(), item| f(item))
+}
+
+/// [`par_map`] with per-worker scratch: each worker calls `init` once
+/// and hands the result to every `f` call it makes — e.g. one reused
+/// read buffer per worker, so a batch of files is never resident at
+/// once.
+pub(crate) fn par_map_with<T, S, U, I, F>(items: &[T], jobs: Option<usize>, init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
     let jobs = jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -465,24 +485,33 @@ where
     });
     let jobs = jobs.clamp(1, items.len().max(1));
     if jobs == 1 {
-        return items.iter().map(f).collect();
+        let mut scratch = init();
+        return items.iter().map(|item| f(&mut scratch, item)).collect();
     }
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| {
+            // Workers verify, splice and derive material without deep
+            // recursion — the service workers run the same code on the
+            // same small stack — so a 512 KiB reservation keeps a pool
+            // inside the CI smokes' 12 MiB address-space cap, which the
+            // default 2 MiB per thread would exceed.
+            let worker = std::thread::Builder::new().stack_size(512 * 1024);
+            let spawned = worker.spawn_scoped(scope, || {
+                let mut scratch = init();
                 let mut local = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
-                    local.push((i, f(item)));
+                    local.push((i, f(&mut scratch, item)));
                 }
                 collected
                     .lock()
                     .expect("fleet worker panicked")
                     .extend(local);
             });
+            spawned.expect("spawning a fleet worker thread");
         }
     });
     let mut indexed = collected.into_inner().expect("fleet worker panicked");
@@ -790,5 +819,37 @@ mod tests {
             );
         }
         assert!(par_map::<usize, usize, _>(&[], Some(4), |&i| i).is_empty());
+    }
+
+    #[test]
+    fn par_map_with_builds_one_scratch_per_worker() {
+        let items: Vec<usize> = (0..41).collect();
+        for jobs in [1usize, 2, 3, 8] {
+            let inits = AtomicUsize::new(0);
+            let out = par_map_with(
+                &items,
+                Some(jobs),
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |seen, &i| {
+                    // The scratch persists across one worker's items.
+                    seen.push(i);
+                    (i * 3, seen.len())
+                },
+            );
+            let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, items.iter().map(|&i| i * 3).collect::<Vec<_>>());
+            let inits = inits.into_inner();
+            assert!(
+                (1..=jobs).contains(&inits),
+                "jobs={jobs}: {inits} scratch builds"
+            );
+            if jobs == 1 {
+                let last = out.last().map(|&(_, n)| n);
+                assert_eq!(last, Some(items.len()), "one scratch saw every item");
+            }
+        }
     }
 }

@@ -45,6 +45,9 @@ use crate::vault::FleetBundleWriter;
 use crate::watermark::{apply_bits_at, Locations, OwnerSecrets, WatermarkConfig, WatermarkError};
 use bytes::Bytes;
 use emmark_quant::QuantizedModel;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 use std::sync::Arc;
 
 /// One provisioned device: its registry entry and its deployable v2
@@ -205,16 +208,22 @@ impl FleetProvisioner {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures from `out`.
-    pub fn provision_artifact_into<W: std::io::Write>(
+    /// Propagates I/O failures from `out`, including its final flush.
+    pub fn provision_artifact_into<W: Write>(
         &self,
         device_id: &str,
-        out: W,
+        mut out: W,
     ) -> Result<DeviceFingerprint, StoreError> {
         let (fingerprint, sig, locs) = self.device_material(device_id);
         let patches = self.device_patches(&sig, &locs);
         let (base, index) = self.family.base_artifact();
-        splice_patches(base, index, &patches, out)?;
+        splice_patches(base, index, &patches, &mut out)?;
+        // A `BufWriter` would flush on drop and discard the error, so a
+        // failed final write (ENOSPC, EIO) must surface here.
+        out.flush().map_err(|source| StoreError::Io {
+            what: "flushing a device artifact",
+            source,
+        })?;
         if Telemetry::enabled() {
             telemetry::PROVISION_DEVICES.incr();
         }
@@ -233,7 +242,7 @@ impl FleetProvisioner {
     /// # Errors
     ///
     /// Propagates writer failures.
-    pub fn provision_bundle_into<W: std::io::Write, S: AsRef<str>>(
+    pub fn provision_bundle_into<W: Write, S: AsRef<str>>(
         &self,
         device_ids: &[S],
         out: W,
@@ -254,6 +263,48 @@ impl FleetProvisioner {
         }
         writer.finish()?;
         Ok(devices)
+    }
+
+    /// Provisions devices straight into `dir/<device id>.emqm` files on
+    /// `jobs` worker threads (`None` = one per available core). Each
+    /// worker splices one device at a time into its own file
+    /// ([`Self::provision_artifact_into`]), so no device artifact is
+    /// ever resident; every file is byte-for-byte the artifact
+    /// [`Self::provision_batch`] returns for that id.
+    ///
+    /// Returns the registry entries in input order.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] naming the first file, in input order, that
+    /// could not be created or written.
+    pub fn provision_files<S: AsRef<str> + Sync>(
+        &self,
+        device_ids: &[S],
+        dir: &Path,
+        jobs: Option<usize>,
+    ) -> Result<Vec<DeviceFingerprint>, StoreError> {
+        par_map(device_ids, jobs, |id| {
+            let path = dir.join(format!("{}.emqm", id.as_ref()));
+            File::create(&path)
+                .map_err(|source| StoreError::Io {
+                    what: "creating a device artifact",
+                    source,
+                })
+                .and_then(|file| self.provision_artifact_into(id.as_ref(), BufWriter::new(file)))
+                .map_err(|e| match e {
+                    StoreError::Io { what, source } => StoreError::Io {
+                        what,
+                        source: io::Error::new(
+                            source.kind(),
+                            format!("{}: {source}", path.display()),
+                        ),
+                    },
+                    other => other,
+                })
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Provisions a batch of device ids in parallel on `jobs` worker
@@ -419,6 +470,63 @@ mod tests {
             .expect("verify");
         assert_eq!(verdict.ownership.wer(), 100.0);
         assert!(verdict.attribution.is_none(), "false attribution");
+    }
+
+    /// Accepts nothing: every write fails as a full disk would.
+    struct FullDisk;
+
+    impl Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "no space left"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Buffers writes, but its flush fails.
+    struct FailingFlush(Vec<u8>);
+
+    impl Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("flush failed"))
+        }
+    }
+
+    #[test]
+    fn streamed_artifact_reports_a_failed_final_flush() {
+        let provisioner = FleetProvisioner::new(base_secrets(), fp_cfg()).expect("cache");
+        let err = provisioner
+            .provision_artifact_into("edge-00", FailingFlush(Vec::new()))
+            .expect_err("a failed flush must not count as provisioned");
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        // A buffer large enough to hold the whole artifact defers every
+        // write to the final flush, which a drop would silently discard.
+        let buffered = io::BufWriter::with_capacity(1 << 22, FullDisk);
+        let err = provisioner
+            .provision_artifact_into("edge-00", buffered)
+            .expect_err("a write failing at flush must surface");
+        assert!(err.to_string().contains("no space left"), "{err}");
+    }
+
+    #[test]
+    fn provision_files_errors_name_the_file() {
+        let provisioner = FleetProvisioner::new(base_secrets(), fp_cfg()).expect("cache");
+        let missing = std::env::temp_dir().join(format!("emmark-absent-{}", std::process::id()));
+        let err = provisioner
+            .provision_files(&["edge-00", "edge-01"], &missing, Some(2))
+            .expect_err("files in a missing directory cannot be created");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("edge-00.emqm"),
+            "error must name the file: {msg}"
+        );
     }
 
     #[test]

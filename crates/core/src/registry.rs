@@ -52,8 +52,8 @@ use crate::deploy::{
 };
 use crate::fingerprint::{fxhash, DeviceFingerprint};
 use crate::fleet::{
-    encode_registry, par_map, read_device_entry, BundleVerdicts, FleetError, FleetVerdict,
-    FleetVerifier, REGISTRY_MAGIC, REGISTRY_VERSION,
+    encode_registry, par_map, par_map_with, read_device_entry, BundleVerdicts, FleetError,
+    FleetVerdict, FleetVerifier, REGISTRY_MAGIC, REGISTRY_VERSION,
 };
 use crate::provision::FleetProvisioner;
 use crate::signature::Signature;
@@ -63,6 +63,10 @@ use crate::watermark::{
     ExtractionReport, GridSource, Locations, OwnerSecrets, WatermarkConfig, WatermarkError,
 };
 use bytes::{BufMut, Bytes, BytesMut};
+use std::fs::File;
+use std::io::Read;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub(crate) const MANIFEST_MAGIC: &[u8; 4] = b"EMFM";
 pub(crate) const MANIFEST_VERSION: u32 = 1;
@@ -881,6 +885,31 @@ impl IndexedFleetVerifier {
         })
     }
 
+    /// Verifies artifact *files* in parallel on `jobs` worker threads
+    /// (`None` = one per available core). Each worker reads one file
+    /// at a time into its own reused buffer and runs
+    /// [`Self::verify_artifact`] on it, so peak memory is O(`jobs` ×
+    /// artifact), independent of how many paths there are. Verdicts are
+    /// bit-identical to [`Self::verify_batch`] over the same bytes, in
+    /// path order; a file that cannot be read becomes its own
+    /// [`FleetError::Io`] verdict without stopping the rest.
+    ///
+    /// Returns the verdicts and the total artifact bytes read.
+    pub fn verify_files<P: AsRef<Path> + Sync>(
+        &self,
+        paths: &[P],
+        log10_threshold: f64,
+        jobs: Option<usize>,
+    ) -> (Vec<Result<FleetVerdict, FleetError>>, u64) {
+        let bytes_read = AtomicU64::new(0);
+        let verdicts = par_map_with(paths, jobs, Vec::new, |buf, path| {
+            read_artifact_file(path.as_ref(), buf)?;
+            bytes_read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+            self.verify_artifact(buf, log10_threshold)
+        });
+        (verdicts, bytes_read.into_inner())
+    }
+
     /// Verifies every device artifact of an EMFB bundle *stream* —
     /// entries are pulled off the reader in rings of at most
     /// `max_resident` artifacts, each ring verified in parallel like
@@ -920,6 +949,22 @@ impl IndexedFleetVerifier {
             out.extend(ids.into_iter().zip(verdicts));
         }
     }
+}
+
+/// Reads a whole artifact file into `buf`, reusing its allocation —
+/// the per-file read of [`IndexedFleetVerifier::verify_files`], timed
+/// and byte-counted by telemetry. A failure becomes that artifact's
+/// [`FleetError::Io`], naming the file.
+fn read_artifact_file(path: &Path, buf: &mut Vec<u8>) -> Result<(), FleetError> {
+    let _span = telemetry::Span::enter(&telemetry::ARTIFACT_READ_NS);
+    buf.clear();
+    File::open(path)
+        .and_then(|mut f| f.read_to_end(buf))
+        .map_err(|e| FleetError::Io(format!("{}: {e}", path.display())))?;
+    if Telemetry::enabled() {
+        telemetry::ARTIFACT_BYTES_READ.add(buf.len() as u64);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

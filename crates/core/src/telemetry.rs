@@ -339,6 +339,9 @@ registry! {
         /// open, one byte per cell probe).
         SPARSE_BYTES: "emmark_sparse_bytes_read_total" =>
             "Bytes read through the sparse artifact path";
+        /// Bytes of artifact files read by directory verification.
+        ARTIFACT_BYTES_READ: "emmark_fleet_artifact_bytes_read_total" =>
+            "Artifact file bytes read by IndexedFleetVerifier::verify_files";
         /// Shared families reused instead of rebuilt.
         FLEET_CACHE_HITS: "emmark_fleet_family_cache_hits_total" =>
             "Family reuses (verifier built over a provisioner's family)";
@@ -419,6 +422,9 @@ registry! {
         /// One verification report (device or ownership).
         FLEET_VERIFY_NS: "emmark_fleet_verify_report_ns" =>
             "Wall time of one fleet verification report";
+        /// One whole-file artifact read of directory verification.
+        ARTIFACT_READ_NS: "emmark_fleet_artifact_read_ns" =>
+            "Wall time of one artifact file read in verify_files";
         /// One leak identification over the full fleet.
         IDENTIFY_NS: "emmark_identify_ns" =>
             "Wall time of one leak identification";

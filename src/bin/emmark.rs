@@ -30,17 +30,19 @@
 //!                                                   index over --shards, default
 //!                                                   1, registry-NNNNN.emfr shard
 //!                                                   files) and optionally one
-//!                                                   bundle file; with a budget,
-//!                                                   artifacts and bundle are
-//!                                                   spliced straight to disk,
-//!                                                   never resident
+//!                                                   bundle file; artifacts are
+//!                                                   spliced straight to disk on
+//!                                                   --jobs workers, never
+//!                                                   resident (a budget only
+//!                                                   enforces peak memory)
 //! emmark fleet-verify --secrets FILE (--manifest FILE --artifacts DIR | --bundle FILE)
 //!                     [--threshold L] [--jobs N]    parallel batch verification +
 //!                                                   indexed leak tracing over a
-//!                                                   directory or a provisioned-
-//!                                                   fleet bundle (bundles stream
-//!                                                   through a bounded ring of
-//!                                                   artifacts)
+//!                                                   directory (one artifact file
+//!                                                   resident per worker) or a
+//!                                                   provisioned-fleet bundle
+//!                                                   (streamed through a bounded
+//!                                                   ring of artifacts)
 //! emmark identify-leak --secrets FILE --manifest FILE --suspect FILE
 //!                      [--threshold L] [--linear]   trace one leaked artifact to
 //!                                                   the responsible device through
@@ -76,7 +78,7 @@ use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
 use emmark::core::deploy::{
     artifact_version, decode_model, encode_model, encode_model_into, SparseArtifact, FORMAT_V2,
 };
-use emmark::core::fleet::{FleetError, FleetVerdict, FleetVerifier};
+use emmark::core::fleet::{BundleVerdicts, FleetVerifier};
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into,
@@ -174,10 +176,13 @@ USAGE:
                          [--cache-families N] [--retry-after-ms MS]
                          [--max-resident-mb M]
 
---max-resident-mb switches the stamp side onto the streaming LayerStore
-pipeline (score → insert → encode one layer at a time; device artifacts
-spliced straight to disk) and fails the run if peak resident memory
-exceeded the budget (Linux VmHWM; reported best-effort elsewhere).
+fleet-provision always splices device artifacts (and the bundle) straight
+to disk, on --jobs worker threads; fleet-verify --artifacts reads one
+artifact file per worker at a time. --max-resident-mb fails the run if
+peak resident memory exceeded the budget (Linux VmHWM; reported
+best-effort elsewhere); on demo it also switches the stamp onto the
+streaming LayerStore pipeline (score → insert → encode one layer at a
+time).
 
 demo, verify, fleet-provision, fleet-verify, identify-leak, and serve
 also take
@@ -885,63 +890,28 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
     let cache_time = start.elapsed();
     let ids: Vec<String> = (0..devices).map(|i| format!("{prefix}-{i:04}")).collect();
 
+    // Each worker splices one device artifact at a time straight into
+    // its file — no device artifact (let alone the fleet) is ever
+    // resident. The bundle, when requested, streams the same way.
     let start = std::time::Instant::now();
-    let batch_time;
-    if budget.is_some() {
-        // Streaming mode: each device artifact is the base artifact
-        // with its patches spliced in flight, written straight to its
-        // file — no device artifact (let alone the fleet) is ever
-        // resident. The bundle, when requested, streams the same way.
-        if jobs.is_some() {
-            println!("note: --jobs is ignored under --max-resident-mb (streaming mode is serial)");
-        }
-        println!("streaming provisioning (device artifacts spliced straight to disk)…");
-        for id in &ids {
-            let out = create_file(&out_dir.join(format!("{id}.emqm")))?;
-            provisioner
-                .provision_artifact_into(id, out)
-                .map_err(|e| e.to_string())?;
-        }
-        batch_time = start.elapsed();
-        if let Some(bundle_path) = opts.get("bundle") {
-            provisioner
-                .provision_bundle_into(&ids, create_file(Path::new(bundle_path))?)
-                .map_err(|e| e.to_string())?;
-            println!("wrote fleet bundle to {bundle_path} (streamed)");
-        }
-    } else {
-        let provisioned = provisioner.provision_batch(&ids, jobs);
-        batch_time = start.elapsed();
-        for device in &provisioned {
-            write_file(
-                &out_dir.join(format!("{}.emqm", device.fingerprint.device_id)),
-                &device.artifact,
-            )?;
-        }
-        if let Some(bundle_path) = opts.get("bundle") {
-            write_file(
-                Path::new(bundle_path),
-                &emmark::core::vault::encode_fleet_bundle(
-                    provisioner.fingerprint_config(),
-                    &provisioned,
-                ),
-            )?;
-            println!("wrote fleet bundle to {bundle_path}");
-        }
+    provisioner
+        .provision_files(&ids, &out_dir, jobs)
+        .map_err(|e| e.to_string())?;
+    let batch_time = start.elapsed();
+    if let Some(bundle_path) = opts.get("bundle") {
+        provisioner
+            .provision_bundle_into(&ids, create_file(Path::new(bundle_path))?)
+            .map_err(|e| format!("writing {bundle_path}: {e}"))?;
+        println!("wrote fleet bundle to {bundle_path}");
     }
     // The registry: device entries split across registry-NNNNN shard
     // files under an EMFM manifest that also persists the
     // fingerprint-cell inverted index. Each shard is written as soon as
     // it is encoded — per-shard memory, not per-fleet.
     let start = std::time::Instant::now();
-    let shard_jobs = if budget.is_some() { Some(1) } else { jobs };
-    let manifest = provision_sharded_into(
-        &provisioner,
-        &ids,
-        shard_count,
-        shard_jobs,
-        |name, bytes| std::fs::write(out_dir.join(name), bytes),
-    )
+    let manifest = provision_sharded_into(&provisioner, &ids, shard_count, jobs, |name, bytes| {
+        std::fs::write(out_dir.join(name), bytes)
+    })
     .map_err(|e| e.to_string())?;
     write_file(&out_dir.join("fleet.emfm"), &encode_manifest(&manifest))?;
     println!(
@@ -967,8 +937,8 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads every `.emqm` artifact in a directory, sorted by file name.
-fn read_artifacts_dir(dir: &Path) -> Result<(Vec<String>, Vec<Vec<u8>>), String> {
+/// Lists every `.emqm` artifact in a directory, sorted by file name.
+fn list_artifacts(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("reading {}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -978,19 +948,7 @@ fn read_artifacts_dir(dir: &Path) -> Result<(Vec<String>, Vec<Vec<u8>>), String>
     if paths.is_empty() {
         return Err(format!("no .emqm artifacts in {}", dir.display()));
     }
-    let names = paths
-        .iter()
-        .map(|p| {
-            p.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default()
-        })
-        .collect();
-    let artifacts = paths
-        .iter()
-        .map(|p| read_file(&p.display().to_string()))
-        .collect::<Result<_, _>>()?;
-    Ok((names, artifacts))
+    Ok(paths)
 }
 
 /// Loads a sharded registry from its manifest path, pulling shard files
@@ -1033,8 +991,8 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     // device list, leak index if persisted) so the family below is
     // built exactly once. A bundle is streamed twice — fingerprints
     // now, artifacts after — and never resident whole; a directory's
-    // .emqm files are read up front.
-    let (fp_cfg, devices, index, dir) = match bundle {
+    // .emqm files are only listed here, and read one per worker below.
+    let (fp_cfg, devices, index, paths) = match bundle {
         Some(path) => {
             let mut stream = open_bundle(path)?;
             let fp_cfg = *stream.fingerprint_config();
@@ -1048,9 +1006,9 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
         }
         None => {
             let registry = load_manifest(required(opts, "manifest")?)?;
-            let dir = read_artifacts_dir(Path::new(required(opts, "artifacts")?))?;
+            let paths = list_artifacts(Path::new(required(opts, "artifacts")?))?;
             let (fp_cfg, devices, index) = registry.into_parts();
-            (fp_cfg, devices, Some(index), Some(dir))
+            (fp_cfg, devices, Some(index), Some(paths))
         }
     };
 
@@ -1068,20 +1026,33 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     let cache_time = start.elapsed();
 
     let start = std::time::Instant::now();
-    let verdicts: Vec<(String, Result<FleetVerdict, FleetError>)> = match (bundle, dir) {
-        (_, Some((names, artifacts))) => names
-            .into_iter()
-            .zip(verifier.verify_batch(&artifacts, threshold, jobs))
-            .collect(),
+    let (verdicts, read_note): (BundleVerdicts, String) = match (bundle, paths) {
+        (_, Some(paths)) => {
+            let (verdicts, bytes) = verifier.verify_files(&paths, threshold, jobs);
+            let names = paths.iter().map(|p| {
+                p.file_name()
+                    .map(|n| n.to_string_lossy().into_owned())
+                    .unwrap_or_default()
+            });
+            let mib = bytes as f64 / (1024.0 * 1024.0);
+            let note = format!("read {mib:.1} MiB of artifact files");
+            (names.zip(verdicts).collect(), note)
+        }
         (Some(path), None) => {
             // Pass 2: stream the bundle again, verifying rings of
             // artifacts in parallel.
             let ring = jobs.unwrap_or(4).max(1) * 4;
-            verifier
+            let verdicts = verifier
                 .verify_bundle_stream(&mut open_bundle(path)?, threshold, jobs, ring)
-                .map_err(|e| e.to_string())?
+                .map_err(|e| e.to_string())?;
+            (
+                verdicts,
+                format!("bundle streamed in rings of {ring} artifacts"),
+            )
         }
-        (None, None) => unreachable!("a fleet-verify source is either a bundle or a directory"),
+        (None, None) => {
+            unreachable!("a fleet-verify source is either a bundle or a directory")
+        }
     };
     let verify_time = start.elapsed();
 
@@ -1122,7 +1093,7 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     println!(
         "\n{} artifacts: {owned} prove ownership, {traced} traced to a device, {failed} failed \
-         (cache {:.1} ms, verify {:.1} ms; v2 artifacts use sparse random-access reads)",
+         (cache {:.1} ms, verify {:.1} ms; {read_note})",
         verdicts.len(),
         cache_time.as_secs_f64() * 1e3,
         verify_time.as_secs_f64() * 1e3

@@ -11,6 +11,8 @@
 //!   prefetch worker while stall/compute spans land on the caller, and
 //!   nested spans (the per-layer scoring span inside the locate-sweep
 //!   span) both record.
+//! * **Artifact reads** — directory verification records one read
+//!   span per artifact file and counts exactly the bytes it read.
 //! * **Disabled mode** — the same pipeline with telemetry off records
 //!   nothing: every counter zero, every histogram empty.
 //!
@@ -18,13 +20,17 @@
 //! covers the global state, which is why every test serializes on one
 //! lock and resets the registry before and after.
 
+use emmark::core::provision::FleetProvisioner;
+use emmark::core::registry::IndexedFleetVerifier;
 use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
 use emmark::core::telemetry::{Snapshot, Telemetry};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
+use emmark::quant::awq::{awq, AwqConfig};
 use emmark::quant::rtn::quantize_linear_rtn;
 use emmark::quant::{ActQuant, Granularity, QuantizedModel};
 use std::io::{Cursor, Write};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The telemetry registry is process-global; tests that enable, record,
@@ -399,6 +405,68 @@ fn jsonl_round_trip_matches_in_process_snapshot() {
         "both sweeps stream every layer"
     );
     Telemetry::reset();
+}
+
+#[test]
+fn directory_verification_times_and_counts_each_artifact_read() {
+    let _guard = lock();
+    Telemetry::reset();
+    let (provisioner, ids) = tiny_fleet();
+    let dir = std::env::temp_dir().join(format!("emmark-telemetry-reads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let devices = provisioner
+        .provision_files(&ids, &dir, Some(2))
+        .expect("provision");
+    let verifier = IndexedFleetVerifier::from(provisioner.verifier(devices));
+    let mut paths: Vec<PathBuf> = ids
+        .iter()
+        .map(|id| dir.join(format!("{id}.emqm")))
+        .collect();
+    paths.push(dir.join("missing.emqm"));
+    let on_disk: u64 = paths
+        .iter()
+        .filter_map(|p| std::fs::metadata(p).ok())
+        .map(|m| m.len())
+        .sum();
+
+    Telemetry::set_enabled(true);
+    let (verdicts, read) = verifier.verify_files(&paths, -6.0, Some(2));
+    Telemetry::set_enabled(false);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), ids.len());
+    assert_eq!(read, on_disk);
+    // One read span per file attempted (the failed open included), and
+    // the byte counter agrees with what verify_files reports.
+    let spans = Telemetry::histogram("emmark_fleet_artifact_read_ns").unwrap();
+    assert_eq!(spans.count(), paths.len() as u64);
+    let bytes = Telemetry::counter("emmark_fleet_artifact_bytes_read_total").unwrap();
+    assert_eq!(bytes.get(), on_disk);
+    Telemetry::reset();
+}
+
+/// A three-device fleet over a tiny AWQ model.
+fn tiny_fleet() -> (FleetProvisioner, Vec<String>) {
+    let mut model = TransformerModel::new(ModelConfig::tiny_test());
+    let calib: Vec<Vec<u32>> = (0..4u32)
+        .map(|s| (0..16u32).map(|i| (i * 7 + s) % 31).collect())
+        .collect();
+    let stats = model.collect_activation_stats(&calib);
+    let qm = awq(&model, &stats, &AwqConfig::default());
+    let base_cfg = WatermarkConfig {
+        bits_per_layer: 4,
+        pool_ratio: 10,
+        ..Default::default()
+    };
+    let fp_cfg = WatermarkConfig {
+        bits_per_layer: 3,
+        pool_ratio: 10,
+        selection_seed: 0x7E1E,
+        ..Default::default()
+    };
+    let secrets = OwnerSecrets::new(qm, stats, base_cfg, 0x7E1E);
+    let provisioner = FleetProvisioner::new(secrets, fp_cfg).expect("provisioner");
+    (provisioner, (0..3).map(|i| format!("dev-{i}")).collect())
 }
 
 #[test]
