@@ -69,10 +69,7 @@ pub enum Section {
     Vault,
     /// The fleet device registry.
     Registry,
-    /// The provisioned-fleet bundle envelope (header and config).
-    Bundle,
-    /// One device entry inside a registry or fleet bundle (0-based
-    /// registration index).
+    /// One device entry inside a registry (0-based registration index).
     Device(usize),
     /// The sharded-registry manifest envelope (header and config).
     Manifest,
@@ -98,7 +95,6 @@ impl std::fmt::Display for Section {
             Section::Scheme => write!(f, "scheme"),
             Section::Vault => write!(f, "vault"),
             Section::Registry => write!(f, "registry"),
-            Section::Bundle => write!(f, "fleet bundle"),
             Section::Device(d) => write!(f, "device {d}"),
             Section::Manifest => write!(f, "shard manifest"),
             Section::Shard(s) => write!(f, "shard {s}"),
@@ -136,8 +132,9 @@ pub enum CodecError {
         /// What was wrong.
         msg: String,
     },
-    /// A container embeds an artifact of a different format version
-    /// (e.g. a v2 vault holding a v1 model).
+    /// A container embeds a part of a different format version: a v2
+    /// vault holding a v1 model, or a shard manifest naming registry
+    /// shards of a version this build does not write.
     MixedVersion {
         /// The container's format version.
         outer: u32,
@@ -166,8 +163,8 @@ impl std::fmt::Display for CodecError {
             } => write!(f, "corrupt {section} section near byte {offset}: {msg}"),
             CodecError::MixedVersion { outer, inner } => write!(
                 f,
-                "mixed-version bundle: container format v{outer} embeds an artifact of \
-                 format v{inner}; re-encode the bundle so both versions agree"
+                "mixed-version container: format v{outer} embeds a part of format \
+                 v{inner}; re-encode the container so both versions agree"
             ),
         }
     }

@@ -91,9 +91,9 @@ impl From<WatermarkError> for FleetError {
     }
 }
 
-/// Per-device verdicts of a streamed bundle verification, in bundle
-/// order: `(device id, verdict)`.
-pub type BundleVerdicts = Vec<(String, Result<FleetVerdict, FleetError>)>;
+/// Verdicts labeled with the name of the artifact each came from, in
+/// input order: `(name, verdict)`.
+pub type NamedVerdicts = Vec<(String, Result<FleetVerdict, FleetError>)>;
 
 /// Outcome of verifying one suspect artifact against the fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -522,27 +522,8 @@ where
 pub(crate) const REGISTRY_MAGIC: &[u8; 4] = b"EMFR";
 pub(crate) const REGISTRY_VERSION: u32 = 1;
 
-/// Reads the shared fingerprint-parameter header of the registry and
-/// fleet-bundle codecs: format version (checked against `expected`),
-/// then a validated [`WatermarkConfig`]. The magic word has already
-/// been consumed by the caller (it differs between the two).
-pub(crate) fn read_config_header(
-    r: &mut crate::deploy::Reader,
-    expected_version: u32,
-) -> Result<WatermarkConfig, CodecError> {
-    let version = r.u32("format version")?;
-    if version != expected_version {
-        return Err(CodecError::BadVersion(version));
-    }
-    let config = r.watermark_config()?;
-    config
-        .validate()
-        .map_err(|e| r.corrupt(format!("fingerprint config: {e}")))?;
-    Ok(config)
-}
-
-/// Reads one device entry (id + seeds) in the wire layout shared by the
-/// registry and the fleet bundle, blaming [`Section::Device`] `i` —
+/// Reads one device entry (id + seeds) in the registry wire layout
+/// (flat registries and manifest shards), blaming [`Section::Device`] `i` —
 /// the same per-item error context the deploy codec gives layers.
 pub(crate) fn read_device_entry(
     r: &mut crate::deploy::Reader,
@@ -588,7 +569,14 @@ pub fn decode_registry(
 ) -> Result<(WatermarkConfig, Vec<DeviceFingerprint>), CodecError> {
     let mut r = crate::deploy::Reader::new(bytes, Section::Registry);
     r.magic(REGISTRY_MAGIC)?;
-    let config = read_config_header(&mut r, REGISTRY_VERSION)?;
+    let version = r.u32("format version")?;
+    if version != REGISTRY_VERSION {
+        return Err(CodecError::BadVersion(version));
+    }
+    let config = r.watermark_config()?;
+    config
+        .validate()
+        .map_err(|e| r.corrupt(format!("fingerprint config: {e}")))?;
     let count = r.u32("device count")? as usize;
     // Each entry is at least 20 bytes (id length + two seeds); bound the
     // allocation by the bytes actually present before trusting `count`.

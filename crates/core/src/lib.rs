@@ -30,8 +30,7 @@
 //!   registries plus the fingerprint-cell inverted index
 //!   ([`registry::LeakIndex`]) that makes leak identification sublinear
 //!   in fleet size with bit-identical verdicts;
-//! * [`vault`] — versioned serialization of the owner's secret bundle
-//!   and the provisioned-fleet bundle;
+//! * [`vault`] — versioned serialization of the owner's secret bundle;
 //! * [`telemetry`] — zero-dependency spans, counters, and log-scale
 //!   histograms instrumenting all of the above, with JSONL and
 //!   Prometheus-text export and a single-atomic-load disabled mode;
@@ -104,8 +103,7 @@ pub use telemetry::{peak_resident_mib, Counter, Histogram, Snapshot, Span, Telem
 
 pub use store::{
     copy_store, for_each_layer_prefetched, materialize, ArtifactLayerStore, ArtifactSink,
-    LayerRecordMeta, LayerSink, LayerStore, ModelHead, ModelSink, ShardSink, ShardStore,
-    StoreError,
+    LayerRecordMeta, LayerSink, LayerStore, ModelHead, ModelSink, StoreError,
 };
 pub use watermark::{
     extract_watermark, extract_with_locations, insert_watermark, locate_watermark,

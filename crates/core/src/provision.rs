@@ -41,7 +41,6 @@ use crate::fleet::{encode_registry, par_map, FleetVerifier};
 use crate::signature::Signature;
 use crate::store::StoreError;
 use crate::telemetry::{self, Telemetry};
-use crate::vault::FleetBundleWriter;
 use crate::watermark::{apply_bits_at, Locations, OwnerSecrets, WatermarkConfig, WatermarkError};
 use bytes::Bytes;
 use emmark_quant::QuantizedModel;
@@ -228,41 +227,6 @@ impl FleetProvisioner {
             telemetry::PROVISION_DEVICES.incr();
         }
         Ok(fingerprint)
-    }
-
-    /// Streams a whole provisioned fleet into an EMFB bundle writer:
-    /// per device, the entry header plus the spliced artifact bytes go
-    /// straight to the underlying writer. Byte-identical to encoding
-    /// [`Self::provision_batch`]'s output with
-    /// [`crate::vault::encode_fleet_bundle`], at O(base artifact)
-    /// total memory instead of O(fleet).
-    ///
-    /// Returns the registry entries in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer failures.
-    pub fn provision_bundle_into<W: Write, S: AsRef<str>>(
-        &self,
-        device_ids: &[S],
-        out: W,
-    ) -> Result<Vec<DeviceFingerprint>, StoreError> {
-        let mut writer = FleetBundleWriter::new(out, &self.fingerprint_config, device_ids.len())?;
-        let mut devices = Vec::with_capacity(device_ids.len());
-        let (base, index) = self.family.base_artifact();
-        for id in device_ids {
-            let (fingerprint, sig, locs) = self.device_material(id.as_ref());
-            let patches = self.device_patches(&sig, &locs);
-            writer.append_streamed(&fingerprint, base.len(), |w| {
-                splice_patches(base, index, &patches, w)
-            })?;
-            if Telemetry::enabled() {
-                telemetry::PROVISION_DEVICES.incr();
-            }
-            devices.push(fingerprint);
-        }
-        writer.finish()?;
-        Ok(devices)
     }
 
     /// Provisions devices straight into `dir/<device id>.emqm` files on

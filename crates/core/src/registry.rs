@@ -52,8 +52,8 @@ use crate::deploy::{
 };
 use crate::fingerprint::{fxhash, DeviceFingerprint};
 use crate::fleet::{
-    encode_registry, par_map, par_map_with, read_device_entry, BundleVerdicts, FleetError,
-    FleetVerdict, FleetVerifier, REGISTRY_MAGIC, REGISTRY_VERSION,
+    encode_registry, par_map, par_map_with, read_device_entry, FleetError, FleetVerdict,
+    FleetVerifier, REGISTRY_MAGIC, REGISTRY_VERSION,
 };
 use crate::provision::FleetProvisioner;
 use crate::signature::Signature;
@@ -775,8 +775,8 @@ pub struct IndexedFleetVerifier {
 }
 
 impl From<FleetVerifier> for IndexedFleetVerifier {
-    /// Indexes a registry that came without a persisted index (an EMFR
-    /// registry or an EMFB bundle) with [`FleetVerifier::leak_index`].
+    /// Indexes a registry that came without a persisted index (an
+    /// inline EMFR registry) with [`FleetVerifier::leak_index`].
     fn from(verifier: FleetVerifier) -> Self {
         let index = verifier.leak_index();
         Self { verifier, index }
@@ -908,46 +908,6 @@ impl IndexedFleetVerifier {
             self.verify_artifact(buf, log10_threshold)
         });
         (verdicts, bytes_read.into_inner())
-    }
-
-    /// Verifies every device artifact of an EMFB bundle *stream* —
-    /// entries are pulled off the reader in rings of at most
-    /// `max_resident` artifacts, each ring verified in parallel like
-    /// [`Self::verify_batch`], then dropped before the next is read.
-    /// Peak memory is O(`max_resident` × artifact), independent of
-    /// fleet size; verdicts are bit-identical to decoding the whole
-    /// bundle and batch-verifying it.
-    ///
-    /// Returns `(device id, verdict)` pairs in bundle order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the stream's codec/I/O error if the bundle itself is
-    /// unreadable (a broken entry makes everything after it garbage);
-    /// per-artifact verification failures stay inside the verdict list.
-    pub fn verify_bundle_stream<R: std::io::Read>(
-        &self,
-        stream: &mut crate::vault::FleetBundleStream<R>,
-        log10_threshold: f64,
-        jobs: Option<usize>,
-        max_resident: usize,
-    ) -> Result<BundleVerdicts, StoreError> {
-        let ring = max_resident.max(1);
-        let mut out = Vec::new();
-        loop {
-            let mut ids = Vec::with_capacity(ring);
-            let mut artifacts = Vec::with_capacity(ring);
-            for entry in stream.by_ref().take(ring) {
-                let device = entry?;
-                ids.push(device.fingerprint.device_id);
-                artifacts.push(device.artifact);
-            }
-            if artifacts.is_empty() {
-                return Ok(out);
-            }
-            let verdicts = self.verify_batch(&artifacts, log10_threshold, jobs);
-            out.extend(ids.into_iter().zip(verdicts));
-        }
     }
 }
 

@@ -49,7 +49,7 @@ use crate::telemetry::{
     SERVICE_QUEUE_DEPTH, SERVICE_REJECTED, SERVICE_REQUESTS, SERVICE_RESIDENT_BYTES,
     SERVICE_VERIFY_NS,
 };
-use crate::vault::{decode_secrets, FleetBundleStream};
+use crate::vault::decode_secrets;
 use crate::watermark::{ExtractionReport, GridSource, WatermarkConfig, WatermarkError};
 
 /// Protocol version carried in every frame payload.
@@ -117,8 +117,8 @@ pub enum Request {
     IdentifyLeak {
         /// The owner vault (`EMWS`).
         secrets: Blob,
-        /// A fleet registry (`EMFR`), bundle (`EMFB`), or shard manifest
-        /// (`EMFM`; must be a path blob so shards resolve beside it).
+        /// A fleet registry (`EMFR`) or shard manifest (`EMFM`; must be
+        /// a path blob so shards resolve beside it).
         registry: Blob,
         /// The leaked suspect artifact.
         suspect: Blob,
@@ -173,13 +173,6 @@ pub enum InspectSummary {
         layers: u32,
         /// Total weight cells across layers.
         cells: u64,
-    },
-    /// A fleet bundle (`EMFB`).
-    Bundle {
-        /// Devices in the bundle.
-        device_count: u32,
-        /// Fingerprint configuration shared by the fleet.
-        fingerprint_config: WatermarkConfig,
     },
     /// A shard manifest (`EMFM`).
     Manifest {
@@ -517,14 +510,6 @@ pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
                     buf.put_u32_le(*layers);
                     buf.put_u64_le(*cells);
                 }
-                InspectSummary::Bundle {
-                    device_count,
-                    fingerprint_config,
-                } => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(*device_count);
-                    put_watermark_config(&mut buf, fingerprint_config);
-                }
                 InspectSummary::Manifest {
                     shard_count,
                     device_count,
@@ -603,10 +588,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<(u64, Response), CodecError> {
                     layers: r.u32("layer count")?,
                     cells: r.u64("cell count")?,
                 },
-                1 => InspectSummary::Bundle {
-                    device_count: r.u32("device count")?,
-                    fingerprint_config: r.watermark_config()?,
-                },
                 2 => InspectSummary::Manifest {
                     shard_count: r.u32("shard count")?,
                     device_count: r.u64("device count")?,
@@ -619,6 +600,8 @@ pub fn decode_response(bytes: &[u8]) -> Result<(u64, Response), CodecError> {
                     layers: r.u32("layer count")?,
                     signature_bits: r.u32("signature bits")?,
                 },
+                // Kind 1 (a retired container) stays unassigned so the
+                // other kinds keep their wire numbers.
                 _ => return Err(r.corrupt("unknown inspect kind")),
             };
             Response::Inspect(summary)
@@ -1200,7 +1183,8 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
         }
         Request::Inspect { target } => {
             let _span = Span::enter(&SERVICE_INSPECT_NS);
-            inspect_target(&target, &mut lease).map(Response::Inspect)
+            let bytes = load_blob(&target, "inspection target", &mut lease)?;
+            inspect_bytes(&bytes).map(Response::Inspect)
         }
         Request::Ping | Request::Shutdown => unreachable!("handled by process_job"),
     }
@@ -1389,8 +1373,8 @@ fn load_verifier(
 }
 
 /// The one verification engine over `family` for a registry input: an
-/// EMFM manifest brings its persisted leak index, EMFR registries and
-/// EMFB bundles are indexed on load.
+/// EMFM manifest brings its persisted leak index, an EMFR registry is
+/// indexed on load.
 fn build_verifier(
     family: &Arc<Family>,
     registry: &Blob,
@@ -1405,14 +1389,6 @@ fn build_verifier(
     match &bytes[..4] {
         b"EMFR" => {
             let (fp_cfg, devices) = decode_registry(bytes)?;
-            Ok(engine(fp_cfg, devices)?.into())
-        }
-        b"EMFB" => {
-            let mut stream = FleetBundleStream::open(std::io::Cursor::new(bytes))?;
-            let fp_cfg = *stream.fingerprint_config();
-            let devices = (&mut stream)
-                .map(|d| d.map(|dev| dev.fingerprint))
-                .collect::<Result<Vec<_>, _>>()?;
             Ok(engine(fp_cfg, devices)?.into())
         }
         b"EMFM" => {
@@ -1432,43 +1408,10 @@ fn build_verifier(
             Ok(IndexedFleetVerifier::new(engine(fp_cfg, devices)?, index)?)
         }
         magic => Err(ServiceError::Other(format!(
-            "unrecognised registry container magic {:?} (expected EMFR, EMFB, or EMFM)",
+            "unrecognised registry container magic {:?} (expected EMFR or EMFM)",
             String::from_utf8_lossy(magic)
         ))),
     }
-}
-
-fn inspect_target(
-    target: &Blob,
-    lease: &mut BudgetLease<'_>,
-) -> Result<InspectSummary, ServiceError> {
-    if let Blob::Path(path) = target {
-        // Sniff the magic first so fleet bundles stream instead of loading
-        // whole into memory.
-        let mut head = [0u8; 4];
-        let mut file = std::fs::File::open(path).map_err(|source| ServiceError::Io {
-            what: format!("opening {path} for inspection"),
-            source,
-        })?;
-        file.read_exact(&mut head)
-            .map_err(|source| ServiceError::Io {
-                what: format!("reading the container magic of {path}"),
-                source,
-            })?;
-        if &head == b"EMFB" {
-            let file = std::fs::File::open(path).map_err(|source| ServiceError::Io {
-                what: format!("opening {path} for inspection"),
-                source,
-            })?;
-            let stream = FleetBundleStream::open(std::io::BufReader::new(file))?;
-            return Ok(InspectSummary::Bundle {
-                device_count: stream.device_count() as u32,
-                fingerprint_config: *stream.fingerprint_config(),
-            });
-        }
-    }
-    let bytes = load_blob(target, "inspection target", lease)?;
-    inspect_bytes(&bytes)
 }
 
 fn inspect_bytes(bytes: &[u8]) -> Result<InspectSummary, ServiceError> {
@@ -1523,13 +1466,6 @@ fn inspect_bytes(bytes: &[u8]) -> Result<InspectSummary, ServiceError> {
                 fingerprint_config: fp_cfg,
             })
         }
-        b"EMFB" => {
-            let stream = FleetBundleStream::open(std::io::Cursor::new(bytes))?;
-            Ok(InspectSummary::Bundle {
-                device_count: stream.device_count() as u32,
-                fingerprint_config: *stream.fingerprint_config(),
-            })
-        }
         b"EMFM" => {
             let manifest = decode_manifest(bytes)?;
             Ok(InspectSummary::Manifest {
@@ -1538,7 +1474,7 @@ fn inspect_bytes(bytes: &[u8]) -> Result<InspectSummary, ServiceError> {
             })
         }
         magic => Err(ServiceError::Other(format!(
-            "unrecognised container magic {:?}",
+            "unrecognised container magic {:?} (expected EMQM, EMWS, EMFR, or EMFM)",
             String::from_utf8_lossy(magic)
         ))),
     }

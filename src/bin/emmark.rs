@@ -11,16 +11,14 @@
 //! emmark verify --secrets FILE --suspect FILE       ownership proof (Eqs. 6–8);
 //!                                                   v2 artifacts are probed sparsely
 //! emmark inspect --model FILE [--json]              layer/scheme/bit summary from the
-//!                                                   v2 header index; .emfb fleet
-//!                                                   bundles get a streamed device/
-//!                                                   fingerprint report (machine-
-//!                                                   readable with --json)
+//!                                                   v2 header index; .emfm shard
+//!                                                   manifests get the shard table
+//!                                                   (machine-readable with --json)
 //! emmark attack --model FILE --out FILE --per-layer N [--seed S]
 //!                                                   parameter-overwriting attack
 //! emmark fleet-provision --secrets FILE --out-dir DIR --devices N
 //!                        [--prefix NAME] [--fp-bits N] [--fp-pool N] [--fp-seed S]
-//!                        [--jobs N] [--bundle FILE] [--shards N]
-//!                        [--max-resident-mb M]
+//!                        [--jobs N] [--shards N] [--max-resident-mb M]
 //!                                                   score-once/insert-many batch
 //!                                                   provisioning: fingerprint N
 //!                                                   device artifacts by delta-
@@ -29,20 +27,16 @@
 //!                                                   (fleet.emfm manifest + leak
 //!                                                   index over --shards, default
 //!                                                   1, registry-NNNNN.emfr shard
-//!                                                   files) and optionally one
-//!                                                   bundle file; artifacts are
+//!                                                   files); artifacts are
 //!                                                   spliced straight to disk on
 //!                                                   --jobs workers, never
 //!                                                   resident (a budget only
 //!                                                   enforces peak memory)
-//! emmark fleet-verify --secrets FILE (--manifest FILE --artifacts DIR | --bundle FILE)
+//! emmark fleet-verify --secrets FILE --manifest FILE --artifacts DIR
 //!                     [--threshold L] [--jobs N]    parallel batch verification +
 //!                                                   indexed leak tracing over a
 //!                                                   directory (one artifact file
-//!                                                   resident per worker) or a
-//!                                                   provisioned-fleet bundle
-//!                                                   (streamed through a bounded
-//!                                                   ring of artifacts)
+//!                                                   resident per worker)
 //! emmark identify-leak --secrets FILE --manifest FILE --suspect FILE
 //!                      [--threshold L] [--linear]   trace one leaked artifact to
 //!                                                   the responsible device through
@@ -78,7 +72,7 @@ use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
 use emmark::core::deploy::{
     artifact_version, decode_model, encode_model, encode_model_into, SparseArtifact, FORMAT_V2,
 };
-use emmark::core::fleet::{BundleVerdicts, FleetVerifier};
+use emmark::core::fleet::{FleetVerifier, NamedVerdicts};
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into,
@@ -87,7 +81,7 @@ use emmark::core::registry::{
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
 use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
 use emmark::core::telemetry::{peak_resident_mib, Snapshot, Telemetry};
-use emmark::core::vault::{decode_secrets, encode_secrets, FleetBundleStream};
+use emmark::core::vault::{decode_secrets, encode_secrets};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::corpus::{Corpus, Grammar};
 use emmark::nanolm::train::{train, TrainConfig};
@@ -162,22 +156,22 @@ USAGE:
   emmark demo    --out-dir DIR [--bits N] [--seed S] [--d-model N] [--d-ff N]
                  [--steps N] [--max-resident-mb M]
   emmark verify  --secrets FILE --suspect FILE
-  emmark inspect --model FILE [--json]        (.emqm artifacts, .emfb bundles,
-                                               .emfm shard manifests)
+  emmark inspect --model FILE [--json]        (.emqm artifacts, .emfm shard
+                                               manifests)
   emmark attack  --model FILE --out FILE --per-layer N [--seed S]
   emmark fleet-provision --secrets FILE --out-dir DIR --devices N
                          [--prefix NAME] [--fp-bits N] [--fp-pool N] [--fp-seed S]
-                         [--jobs N] [--bundle FILE] [--shards N] [--max-resident-mb M]
-  emmark fleet-verify    --secrets FILE (--manifest FILE --artifacts DIR
-                         | --bundle FILE) [--threshold L] [--jobs N]
+                         [--jobs N] [--shards N] [--max-resident-mb M]
+  emmark fleet-verify    --secrets FILE --manifest FILE --artifacts DIR
+                         [--threshold L] [--jobs N]
   emmark identify-leak   --secrets FILE --manifest FILE --suspect FILE
                          [--threshold L] [--linear]
   emmark serve           [--socket PATH] [--workers N] [--queue N]
                          [--cache-families N] [--retry-after-ms MS]
                          [--max-resident-mb M]
 
-fleet-provision always splices device artifacts (and the bundle) straight
-to disk, on --jobs worker threads; fleet-verify --artifacts reads one
+fleet-provision always splices device artifacts straight to disk, on
+--jobs worker threads; fleet-verify --artifacts reads one
 artifact file per worker at a time. --max-resident-mb fails the run if
 peak resident memory exceeded the budget (Linux VmHWM; reported
 best-effort elsewhere); on demo it also switches the stamp onto the
@@ -225,7 +219,6 @@ fn allowed_opts(command: &str) -> Option<&'static [&'static str]> {
             "fp-pool",
             "fp-seed",
             "jobs",
-            "bundle",
             "shards",
             "max-resident-mb",
             "telemetry",
@@ -235,7 +228,6 @@ fn allowed_opts(command: &str) -> Option<&'static [&'static str]> {
             "secrets",
             "artifacts",
             "manifest",
-            "bundle",
             "threshold",
             "jobs",
             "telemetry",
@@ -580,32 +572,10 @@ fn json_escape(s: &str) -> String {
 
 fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
     let path = required(opts, "model")?;
-    // Sniff the magic: .emfb fleet bundles get the streaming bundle
-    // report, everything else goes through the artifact path.
-    {
-        use std::io::Read as _;
-        let mut magic = [0u8; 4];
-        let mut f = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-        // read() may legally return short; fill the 4 bytes (or hit
-        // EOF) before deciding the format.
-        let mut filled = 0;
-        while filled < magic.len() {
-            let n = f
-                .read(&mut magic[filled..])
-                .map_err(|e| format!("reading {path}: {e}"))?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        if &magic[..filled] == b"EMFB" {
-            return inspect_bundle(path, opts.contains_key("json"));
-        }
-        if &magic[..filled] == b"EMFM" {
-            return inspect_manifest(path, opts.contains_key("json"));
-        }
-    }
     let bytes = read_file(path)?;
+    if bytes.starts_with(b"EMFM") {
+        return inspect_manifest(path, &bytes, opts.contains_key("json"));
+    }
     let version = artifact_version(&bytes).map_err(|e| e.to_string())?;
     // v2: everything comes from the header index without materializing
     // a model; grids are scanned in place for the clamp census. v1
@@ -702,98 +672,10 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `emmark inspect` over an EMFB fleet bundle: streams the entries (one
-/// artifact resident at a time) and reports the device count, per-device
-/// fingerprint signature lengths, and artifact sizes.
-fn inspect_bundle(path: &str, json: bool) -> Result<(), String> {
-    let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut stream = FleetBundleStream::open(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let fp_cfg = *stream.fingerprint_config();
-    let declared = stream.device_count();
-
-    struct DeviceRow {
-        device_id: String,
-        artifact_bytes: usize,
-        layers: usize,
-        fingerprint_bits: usize,
-    }
-    // The declared count is untrusted input; cap the pre-allocation.
-    let mut rows = Vec::with_capacity(declared.min(1024));
-    let mut total_bytes = 0usize;
-    for entry in &mut stream {
-        let device = entry.map_err(|e| e.to_string())?;
-        let sparse = SparseArtifact::open(&device.artifact).map_err(|e| {
-            format!(
-                "device {}: embedded artifact: {e}",
-                device.fingerprint.device_id
-            )
-        })?;
-        let layers = sparse.layer_count();
-        total_bytes += device.artifact.len();
-        rows.push(DeviceRow {
-            device_id: device.fingerprint.device_id,
-            artifact_bytes: device.artifact.len(),
-            layers,
-            fingerprint_bits: fp_cfg.signature_len(layers),
-        });
-    }
-
-    if json {
-        let device_objs: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"device_id\":\"{}\",\"artifact_bytes\":{},\"layers\":{},\
-                     \"fingerprint_bits\":{}}}",
-                    json_escape(&r.device_id),
-                    r.artifact_bytes,
-                    r.layers,
-                    r.fingerprint_bits
-                )
-            })
-            .collect();
-        println!(
-            "{{\"kind\":\"fleet-bundle\",\"device_count\":{},\"total_artifact_bytes\":{total_bytes},\
-             \"fingerprint\":{{\"bits_per_layer\":{},\"pool_ratio\":{},\"selection_seed\":{}}},\
-             \"devices\":[{}]}}",
-            rows.len(),
-            fp_cfg.bits_per_layer,
-            fp_cfg.pool_ratio,
-            fp_cfg.selection_seed,
-            device_objs.join(",")
-        );
-        return Ok(());
-    }
-
-    println!("bundle  : {path}");
-    println!("devices : {} provisioned", rows.len());
-    println!(
-        "fingerprint: {} bits/layer, pool ratio {}, selection seed {}",
-        fp_cfg.bits_per_layer, fp_cfg.pool_ratio, fp_cfg.selection_seed
-    );
-    println!(
-        "payload : {:.1} KiB of device artifacts",
-        total_bytes as f64 / 1024.0
-    );
-    for r in rows.iter().take(8) {
-        println!(
-            "  {}: {:.1} KiB artifact, {}-bit fingerprint over {} layers",
-            r.device_id,
-            r.artifact_bytes as f64 / 1024.0,
-            r.fingerprint_bits,
-            r.layers
-        );
-    }
-    if rows.len() > 8 {
-        println!("  … {} more devices", rows.len() - 8);
-    }
-    Ok(())
-}
-
 /// `emmark inspect` over an EMFM shard manifest: the shard table and
 /// leak-index shape, without touching the shard files themselves.
-fn inspect_manifest(path: &str, json: bool) -> Result<(), String> {
-    let manifest = decode_manifest(&read_file(path)?).map_err(|e| e.to_string())?;
+fn inspect_manifest(path: &str, bytes: &[u8], json: bool) -> Result<(), String> {
+    let manifest = decode_manifest(bytes).map_err(|e| e.to_string())?;
     let fp = &manifest.fingerprint_config;
     if json {
         let shard_objs: Vec<String> = manifest
@@ -892,18 +774,12 @@ fn cmd_fleet_provision(opts: &HashMap<String, String>) -> Result<(), String> {
 
     // Each worker splices one device artifact at a time straight into
     // its file — no device artifact (let alone the fleet) is ever
-    // resident. The bundle, when requested, streams the same way.
+    // resident.
     let start = std::time::Instant::now();
     provisioner
         .provision_files(&ids, &out_dir, jobs)
         .map_err(|e| e.to_string())?;
     let batch_time = start.elapsed();
-    if let Some(bundle_path) = opts.get("bundle") {
-        provisioner
-            .provision_bundle_into(&ids, create_file(Path::new(bundle_path))?)
-            .map_err(|e| format!("writing {bundle_path}: {e}"))?;
-        println!("wrote fleet bundle to {bundle_path}");
-    }
     // The registry: device entries split across registry-NNNNN shard
     // files under an EMFM manifest that also persists the
     // fingerprint-cell inverted index. Each shard is written as soon as
@@ -963,54 +839,18 @@ fn load_manifest(manifest_path: &str) -> Result<emmark::core::registry::ShardedR
         .map_err(|e| format!("loading {manifest_path}: {e}"))
 }
 
-fn open_bundle(path: &str) -> Result<FleetBundleStream<BufReader<File>>, String> {
-    let file = File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-    FleetBundleStream::open(BufReader::new(file)).map_err(|e| e.to_string())
-}
-
 fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
-    let bundle = opts.get("bundle");
-    // A bundle carries its own registry and artifacts; silently
-    // preferring one source over another would verify the wrong fleet.
-    if let Some(other) = ["manifest", "artifacts"]
-        .into_iter()
-        .find(|k| bundle.is_some() && opts.contains_key(*k))
-    {
-        return Err(format!(
-            "--bundle and --{other} cannot be combined: verify a bundle or a \
-             --manifest/--artifacts directory, not both"
-        ));
-    }
     let secrets =
         decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
     let threshold: f64 = parsed(opts, "threshold", -6.0)?;
     let jobs: usize = parsed(opts, "jobs", 0)?;
     let jobs = if jobs == 0 { None } else { Some(jobs) };
 
-    // Both sources resolve to the same raw parts (fingerprint config,
-    // device list, leak index if persisted) so the family below is
-    // built exactly once. A bundle is streamed twice — fingerprints
-    // now, artifacts after — and never resident whole; a directory's
-    // .emqm files are only listed here, and read one per worker below.
-    let (fp_cfg, devices, index, paths) = match bundle {
-        Some(path) => {
-            let mut stream = open_bundle(path)?;
-            let fp_cfg = *stream.fingerprint_config();
-            // The declared count is untrusted input; cap the
-            // pre-allocation and let real entries grow the vector.
-            let mut devices = Vec::with_capacity(stream.device_count().min(1024));
-            for entry in &mut stream {
-                devices.push(entry.map_err(|e| e.to_string())?.fingerprint);
-            }
-            (fp_cfg, devices, None, None)
-        }
-        None => {
-            let registry = load_manifest(required(opts, "manifest")?)?;
-            let paths = list_artifacts(Path::new(required(opts, "artifacts")?))?;
-            let (fp_cfg, devices, index) = registry.into_parts();
-            (fp_cfg, devices, Some(index), Some(paths))
-        }
-    };
+    // The directory's .emqm files are only listed here, and read one
+    // per worker below.
+    let registry = load_manifest(required(opts, "manifest")?)?;
+    let paths = list_artifacts(Path::new(required(opts, "artifacts")?))?;
+    let (fp_cfg, devices, index) = registry.into_parts();
 
     println!(
         "building the verification cache ({} registered devices)…",
@@ -1019,41 +859,18 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     let start = std::time::Instant::now();
     let verifier =
         FleetVerifier::from_parts(secrets, fp_cfg, devices).map_err(|e| e.to_string())?;
-    let verifier = match index {
-        Some(ix) => IndexedFleetVerifier::new(verifier, ix).map_err(|e| e.to_string())?,
-        None => IndexedFleetVerifier::from(verifier),
-    };
+    let verifier = IndexedFleetVerifier::new(verifier, index).map_err(|e| e.to_string())?;
     let cache_time = start.elapsed();
 
     let start = std::time::Instant::now();
-    let (verdicts, read_note): (BundleVerdicts, String) = match (bundle, paths) {
-        (_, Some(paths)) => {
-            let (verdicts, bytes) = verifier.verify_files(&paths, threshold, jobs);
-            let names = paths.iter().map(|p| {
-                p.file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default()
-            });
-            let mib = bytes as f64 / (1024.0 * 1024.0);
-            let note = format!("read {mib:.1} MiB of artifact files");
-            (names.zip(verdicts).collect(), note)
-        }
-        (Some(path), None) => {
-            // Pass 2: stream the bundle again, verifying rings of
-            // artifacts in parallel.
-            let ring = jobs.unwrap_or(4).max(1) * 4;
-            let verdicts = verifier
-                .verify_bundle_stream(&mut open_bundle(path)?, threshold, jobs, ring)
-                .map_err(|e| e.to_string())?;
-            (
-                verdicts,
-                format!("bundle streamed in rings of {ring} artifacts"),
-            )
-        }
-        (None, None) => {
-            unreachable!("a fleet-verify source is either a bundle or a directory")
-        }
-    };
+    let (verdicts, bytes) = verifier.verify_files(&paths, threshold, jobs);
+    let names = paths.iter().map(|p| {
+        p.file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default()
+    });
+    let verdicts: NamedVerdicts = names.zip(verdicts).collect();
+    let read_mib = bytes as f64 / (1024.0 * 1024.0);
     let verify_time = start.elapsed();
 
     println!(
@@ -1093,7 +910,7 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     println!(
         "\n{} artifacts: {owned} prove ownership, {traced} traced to a device, {failed} failed \
-         (cache {:.1} ms, verify {:.1} ms; {read_note})",
+         (cache {:.1} ms, verify {:.1} ms; read {read_mib:.1} MiB of artifact files)",
         verdicts.len(),
         cache_time.as_secs_f64() * 1e3,
         verify_time.as_secs_f64() * 1e3

@@ -7,7 +7,8 @@
 //! * `provision` vs a fresh `FleetProvisioner`;
 //! * `identify-leak` vs a fresh `FleetVerifier` linear scan;
 //! * plus the failure envelope: queue-full backpressure, malformed
-//!   frames, and the graceful shutdown drain.
+//!   frames, retired container formats, and the graceful shutdown
+//!   drain.
 
 use emmark::core::deploy::encode_model;
 use emmark::core::fleet::{encode_registry, FleetVerifier};
@@ -304,6 +305,48 @@ fn malformed_frames_are_rejected_without_poisoning_the_pool() {
     }
     // The pool survives and keeps answering well-formed requests.
     assert_eq!(service.request(7, &Request::Ping), Response::Pong);
+}
+
+#[test]
+fn retired_fleet_bundles_get_an_error_naming_the_accepted_magics() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let family = build_family("awq", 5);
+    // The header of a retired single-file fleet bundle: its magic, a
+    // version word, then filler where its config and devices would be.
+    let mut bundle = b"EMFB".to_vec();
+    bundle.extend_from_slice(&2u32.to_le_bytes());
+    bundle.extend_from_slice(&[0u8; 40]);
+    let bundle_path =
+        std::env::temp_dir().join(format!("emmark-retired-{}.emfb", std::process::id()));
+    std::fs::write(&bundle_path, &bundle).expect("write bundle");
+
+    let identify = Request::IdentifyLeak {
+        secrets: Blob::Inline(family.secrets_bytes.clone()),
+        registry: Blob::Inline(bundle.clone()),
+        suspect: Blob::Inline(family.deployed_bytes.clone()),
+        log10_threshold: -6.0,
+        linear: false,
+    };
+    let Response::Error { message } = service.request(1, &identify) else {
+        panic!("a bundle registry must be refused");
+    };
+    assert!(message.contains("EMFR or EMFM"), "{message}");
+
+    for target in [
+        Blob::Inline(bundle),
+        Blob::Path(bundle_path.to_string_lossy().into_owned()),
+    ] {
+        let Response::Error { message } = service.request(2, &Request::Inspect { target }) else {
+            panic!("a bundle must not be inspected");
+        };
+        assert!(message.contains("EMQM, EMWS, EMFR, or EMFM"), "{message}");
+    }
+    // The pool keeps answering.
+    assert_eq!(service.request(3, &Request::Ping), Response::Pong);
+    let _ = std::fs::remove_file(&bundle_path);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Truncation/corruption coverage for the `emmarkd` frame payload codec,
-//! the service counterpart of the EMQM/EMFB/EMFM codec proptests: every
+//! the service counterpart of the EMQM/EMFM codec proptests: every
 //! [`Request`] and [`Response`] variant round-trips, every strict prefix
 //! of an encoded payload is rejected with an `Err`, and no single-byte
 //! flip anywhere in a payload makes the decoder panic. Inline blobs and
@@ -108,10 +108,6 @@ fn responses(blob_len: usize, seed: u8, threshold: f64) -> Vec<Response> {
             layers: 6,
             cells: 4096 + s,
         }),
-        Response::Inspect(InspectSummary::Bundle {
-            device_count: 8,
-            fingerprint_config: cfg,
-        }),
         Response::Inspect(InspectSummary::Manifest {
             shard_count: 4,
             device_count: 1024 + s,
@@ -203,4 +199,27 @@ proptest! {
             }
         }
     }
+}
+
+/// Inspect kind 1 is retired and stays unassigned: a response carrying
+/// it is rejected, even with a body in that kind's old layout (a device
+/// count plus a fingerprint config — the layout kind 3 still uses).
+#[test]
+fn retired_inspect_kind_is_rejected() {
+    let registry = Response::Inspect(InspectSummary::Registry {
+        device_count: 8,
+        fingerprint_config: WatermarkConfig {
+            bits_per_layer: 2,
+            pool_ratio: 10,
+            ..Default::default()
+        },
+    });
+    let mut payload = encode_response(9, &registry);
+    // The kind byte follows the header and the one-byte response tag,
+    // which is exactly where a `Pong` payload ends.
+    let kind_at = encode_response(9, &Response::Pong).len();
+    assert_eq!(payload[kind_at], 3, "registry inspect kind");
+    payload[kind_at] = 1;
+    let err = decode_response(&payload).expect_err("retired kind");
+    assert!(err.to_string().contains("unknown inspect kind"), "{err}");
 }

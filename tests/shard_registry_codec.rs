@@ -1,13 +1,13 @@
-//! Truncation/corruption coverage for the EMFM shard-manifest codec,
-//! mirroring `tests/fleet_bundle_codec.rs` for the EMFB bundle: cutting
-//! the manifest at (and around) *every* section boundary must fail
+//! Truncation/corruption coverage for the EMFM shard-manifest codec and
+//! the EMFR registry entries it names: cutting the manifest at (and
+//! around) *every* section boundary must fail
 //! cleanly — never panic, never load a damaged fleet — and the shard
 //! loader must reject mixed-version layouts, overlapping or gapped
 //! device ranges, checksum/length mismatches, and a leak index naming
 //! devices the registry does not have.
 
 use emmark::core::deploy::CodecError;
-use emmark::core::fleet::registry_entry;
+use emmark::core::fleet::{decode_registry, encode_registry, registry_entry};
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, manifest_section_boundaries,
@@ -345,4 +345,24 @@ fn corrupted_leak_index_is_rejected_not_panicking() {
         let err = decode_manifest(&evil).expect_err("unsorted bucket");
         assert!(err.to_string().contains("ascending"), "{err}");
     }
+}
+
+#[test]
+fn registry_errors_carry_device_section_context_too() {
+    let fp_cfg = WatermarkConfig {
+        bits_per_layer: 2,
+        pool_ratio: 10,
+        selection_seed: 0xDE11CE ^ 2,
+        ..Default::default()
+    };
+    let devices: Vec<_> = ["edge-00", "edge-01"]
+        .iter()
+        .map(|id| registry_entry(&fp_cfg, id))
+        .collect();
+    let bytes = encode_registry(&fp_cfg, &devices).to_vec();
+    // Truncate inside the second device entry.
+    let err = decode_registry(&bytes[..bytes.len() - 5]).expect_err("truncated");
+    let msg = err.to_string();
+    assert!(msg.contains("device 1"), "unhelpful error: {msg}");
+    assert!(msg.contains("byte"), "no offset in: {msg}");
 }
