@@ -151,7 +151,7 @@ fn main() {
     );
     println!(
         "{:<44} {:>9.1} ms {:>14}",
-        "streaming (kernels + overlapped sweeps)",
+        "streaming (kernels + prefetched sweep)",
         streaming_time.as_secs_f64() * 1e3,
         alloc::fmt_bytes(streaming_peak)
     );

@@ -136,9 +136,10 @@ impl ModelHead {
 
 /// Everything a sink needs to know about a layer before its grid
 /// arrives: shape, quantizer metadata, and the exact byte length of its
-/// v2 record. Derivable from a layer without retaining it — the sizing
-/// sweep of the streaming encoder materializes one layer at a time and
-/// keeps only these few words per layer.
+/// v2 record. Derivable from a layer without retaining it, or from a v2
+/// index entry — the streaming stamp declares every layer's metadata to
+/// its sink before any grid bytes flow, keeping only these few words
+/// per layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerRecordMeta {
     /// Input feature count.
@@ -277,16 +278,29 @@ where
     S: LayerStore + ?Sized,
     K: LayerSink + ?Sized,
 {
-    let n = store.store_layer_count();
-    let mut metas = Vec::with_capacity(n);
-    for l in 0..n {
-        metas.push(store.layer_meta(l)?);
-    }
-    sink.begin(&store.head()?, &metas)?;
-    for l in 0..n {
+    begin_from(store, sink)?;
+    for l in 0..store.store_layer_count() {
         sink.put_layer(l, store.load_layer(l)?.as_ref())?;
     }
     sink.finish()
+}
+
+/// Begins `sink` with `store`'s head and every layer's
+/// [`LayerStore::layer_meta`], so each layer can then be loaded once and
+/// streamed straight out.
+///
+/// # Errors
+///
+/// Propagates store and sink failures.
+pub(crate) fn begin_from<S, K>(store: &S, sink: &mut K) -> Result<(), StoreError>
+where
+    S: LayerStore + ?Sized,
+    K: LayerSink + ?Sized,
+{
+    let metas = (0..store.store_layer_count())
+        .map(|l| store.layer_meta(l))
+        .collect::<Result<Vec<_>, _>>()?;
+    sink.begin(&store.head()?, &metas)
 }
 
 /// Materializes a [`LayerStore`] as an in-memory [`QuantizedModel`].
@@ -501,10 +515,13 @@ impl<W: Write> LayerSink for ArtifactSink<W> {
             )));
         };
         self.scratch.clear();
+        // The declared length sizes the scratch once, so the encoder's
+        // appends never reallocate mid-record.
+        self.scratch.reserve(meta.record_len);
         put_qlinear(&mut self.scratch, layer);
         if self.scratch.len() != meta.record_len {
             return Err(corrupt(format!(
-                "record is {} bytes but the sizing sweep promised {}",
+                "record is {} bytes but begin declared {}",
                 self.scratch.len(),
                 meta.record_len
             )));
@@ -765,6 +782,18 @@ impl<R: Read + Seek> LayerStore for ArtifactLayerStore<R> {
         drop(src);
         let mut r = Reader::new(&record, Section::Layer(l));
         let layer = r.qlinear(l)?;
+        // The index span is the record length `layer_meta` declares to
+        // sinks, so it must hold this record and nothing else.
+        if r.offset() != record.len() {
+            return Err(StoreError::Codec(CodecError::Corrupt {
+                section: Section::Layer(l),
+                offset: start + r.offset(),
+                msg: format!(
+                    "{} stray bytes after the record in its index span",
+                    record.len() - r.offset()
+                ),
+            }));
+        }
         let entry = &self.index[l];
         if layer.in_features() != entry.in_features
             || layer.out_features() != entry.out_features
@@ -797,7 +826,10 @@ impl<R: Read + Seek> LayerStore for ArtifactLayerStore<R> {
 mod tests {
     use super::*;
     use crate::deploy::{decode_model, encode_model};
+    use crate::signature::Signature;
+    use crate::watermark::{stream_watermark, stream_watermark_reference, WatermarkConfig};
     use emmark_nanolm::config::ModelConfig as Cfg;
+    use emmark_nanolm::model::ActivationStats;
     use emmark_nanolm::TransformerModel;
     use emmark_quant::awq::{awq, AwqConfig};
     use emmark_quant::llm_int8::{llm_int8, OutlierCriterion};
@@ -805,14 +837,144 @@ mod tests {
     use std::io::Cursor;
 
     fn models() -> Vec<QuantizedModel> {
-        let mut model = TransformerModel::new(Cfg::tiny_test());
-        let calib = vec![vec![1u32, 2, 3, 4, 5, 6, 7, 8]];
-        let stats = model.collect_activation_stats(&calib);
+        let (model, stats) = tiny_model();
         vec![
             awq(&model, &stats, &AwqConfig::default()),
             smoothquant(&model, &stats, &SmoothQuantConfig::default()),
             llm_int8(&model, &stats, OutlierCriterion::Quantile(0.9)),
         ]
+    }
+
+    fn tiny_model() -> (TransformerModel, ActivationStats) {
+        let mut model = TransformerModel::new(Cfg::tiny_test());
+        let calib = vec![vec![1u32, 2, 3, 4, 5, 6, 7, 8]];
+        let stats = model.collect_activation_stats(&calib);
+        (model, stats)
+    }
+
+    /// Streams a stamp of `store` into a throwaway artifact sink, on the
+    /// prefetched kernel pipeline or the serial reference one.
+    fn stamp(
+        store: &(impl LayerStore + Sync),
+        stats: &ActivationStats,
+        reference: bool,
+    ) -> Result<(), StoreError> {
+        let cfg = WatermarkConfig {
+            bits_per_layer: 4,
+            pool_ratio: 10,
+            ..Default::default()
+        };
+        let sig = Signature::generate(cfg.signature_len(store.store_layer_count()), 5);
+        let pipeline = if reference {
+            stream_watermark_reference
+        } else {
+            stream_watermark
+        };
+        pipeline(store, stats, &sig, &cfg, &mut ArtifactSink::new(Vec::new())).map(drop)
+    }
+
+    /// `bytes` with `gap` zero bytes spliced in after layer `l`'s record
+    /// and every later index offset shifted past them: a well-formed
+    /// index whose span for `l` is longer than the record it holds.
+    fn with_gap_after(bytes: &[u8], head: &ModelHead, l: usize, gap: usize) -> Vec<u8> {
+        let mut cfg = BytesMut::new();
+        put_config(&mut cfg, &head.cfg);
+        put_string(&mut cfg, &head.scheme);
+        let index = crate::deploy::SparseArtifact::open(bytes)
+            .expect("open")
+            .layer_index()
+            .to_vec();
+        let end = index.get(l + 1).map_or(bytes.len(), |e| e.record_offset);
+        let mut out = [&bytes[..end], &vec![0u8; gap][..], &bytes[end..]].concat();
+        let entries = 8 + cfg.len() + 4;
+        for (k, e) in index.iter().enumerate().skip(l + 1) {
+            let at = entries + k * INDEX_ENTRY_BYTES + 14;
+            out[at..at + 8].copy_from_slice(&((e.record_offset + gap) as u64).to_le_bytes());
+            out[at + 8..at + 16].copy_from_slice(&((e.q_offset + gap) as u64).to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn stray_bytes_in_a_record_span_fail_both_streaming_paths_naming_the_layer() {
+        let (model, stats) = tiny_model();
+        let model = awq(&model, &stats, &AwqConfig::default());
+        let bytes = encode_model(&model).to_vec();
+        let head = ModelHead::of(&model);
+        let last = model.layer_count() - 1;
+        for l in [0, 2, last] {
+            let gapped = with_gap_after(&bytes, &head, l, 3);
+            let store = ArtifactLayerStore::open(Cursor::new(&gapped)).expect("index intact");
+            assert_eq!(
+                store.layer_meta(l).expect("meta").record_len,
+                LayerRecordMeta::of(&model.layers[l]).record_len + 3
+            );
+            for l2 in (0..model.layer_count()).filter(|&k| k != l) {
+                assert_eq!(
+                    store.load_layer(l2).expect("load").as_ref(),
+                    &model.layers[l2]
+                );
+            }
+            let errs = [
+                copy_store(&store, &mut ArtifactSink::new(Vec::new())).expect_err("copy"),
+                stamp(&store, &stats, false).expect_err("stamp"),
+                stamp(&store, &stats, true).expect_err("reference stamp"),
+            ];
+            for err in errs {
+                let StoreError::Codec(CodecError::Corrupt { section, msg, .. }) = &err else {
+                    panic!("layer {l}: expected a corrupt-record error, got {err}");
+                };
+                assert_eq!(*section, Section::Layer(l), "{err}");
+                assert!(msg.contains("3 stray bytes"), "{err}");
+                assert!(err.to_string().contains(&format!("layer {l}")), "{err}");
+            }
+        }
+    }
+
+    /// A store that counts `load_layer` calls.
+    struct CountingStore<S> {
+        inner: S,
+        loads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<S: LayerStore> LayerStore for CountingStore<S> {
+        fn head(&self) -> Result<ModelHead, StoreError> {
+            self.inner.head()
+        }
+
+        fn store_layer_count(&self) -> usize {
+            self.inner.store_layer_count()
+        }
+
+        fn load_layer(&self, l: usize) -> Result<Cow<'_, QuantizedLinear>, StoreError> {
+            self.loads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.load_layer(l)
+        }
+
+        fn layer_meta(&self, l: usize) -> Result<LayerRecordMeta, StoreError> {
+            self.inner.layer_meta(l)
+        }
+    }
+
+    #[test]
+    fn streamed_stamps_load_each_layer_exactly_once() {
+        let (model, stats) = tiny_model();
+        let model = awq(&model, &stats, &AwqConfig::default());
+        let bytes = encode_model(&model).to_vec();
+        let store = CountingStore {
+            inner: ArtifactLayerStore::open(Cursor::new(&bytes)).expect("open"),
+            loads: Default::default(),
+        };
+        for reference in [false, true] {
+            stamp(&store, &stats, reference).expect("stamp");
+            let loads = store.loads.swap(0, std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(
+                loads,
+                model.layer_count(),
+                "reference pipeline: {reference}"
+            );
+        }
     }
 
     #[test]

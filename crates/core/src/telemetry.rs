@@ -413,12 +413,14 @@ registry! {
         /// Consumer-side compute time per layer (the caller's closure).
         STREAM_COMPUTE_NS: "emmark_stream_compute_ns" =>
             "Per-layer consumer compute in for_each_layer_prefetched";
-        /// One locate sweep of the streaming stamp (pool + size pass).
-        STAMP_LOCATE_NS: "emmark_stamp_locate_sweep_ns" =>
-            "Streaming stamp sweep 1: locate + size";
-        /// One insert/encode sweep of the streaming stamp.
-        STAMP_INSERT_NS: "emmark_stamp_insert_sweep_ns" =>
-            "Streaming stamp sweep 2: insert + encode";
+        /// The one sweep of the streaming stamp (load, locate, insert
+        /// and encode of every layer).
+        STAMP_SWEEP_NS: "emmark_stamp_sweep_ns" =>
+            "Streaming stamp sweep: locate + insert + encode per layer";
+        /// Per-layer record encode of the streaming stamp (the sink's
+        /// `put_layer`).
+        STAMP_ENCODE_NS: "emmark_stamp_encode_ns" =>
+            "Per-layer put_layer (encode + write) in the streaming stamp";
         /// One verification report (device or ownership).
         FLEET_VERIFY_NS: "emmark_fleet_verify_report_ns" =>
             "Wall time of one fleet verification report";

@@ -11,7 +11,7 @@
 use crate::scoring::{layer_pool, PoolError, ScoreCoefficients};
 use crate::signature::Signature;
 use crate::store::{
-    for_each_layer_prefetched, ArtifactSink, LayerRecordMeta, LayerSink, LayerStore, StoreError,
+    begin_from, for_each_layer_prefetched, ArtifactSink, LayerSink, LayerStore, StoreError,
 };
 use crate::telemetry;
 use emmark_nanolm::model::ActivationStats;
@@ -273,12 +273,13 @@ fn sample_pool(pool: &[usize], cfg: &WatermarkConfig, layer_seed: u64) -> Vec<us
 /// layer resident at a time, its stages overlapped across two scoped
 /// threads.
 ///
-/// Sweep 1 loads each of `store`'s layers once to reproduce its
-/// watermark locations (Eqs. 2–4 + seeded sampling) and record its
-/// sizing metadata; sweep 2 loads each layer again, applies its
-/// signature bits (Eq. 5), and hands it to `sink`. Within each sweep,
-/// layer `N+1` is loaded on a worker thread while layer `N` is being
-/// scored (or bumped and encoded) — the two-slot rendezvous hand-off of
+/// One sweep over `store`: the sink first receives every record size
+/// from [`LayerStore::layer_meta`] (Eq. 5 changes grid values, never
+/// record lengths), then each layer is loaded once, its watermark
+/// locations reproduced (Eqs. 2–4 + seeded sampling), its signature bits
+/// applied (Eq. 5), and the stamped layer handed to `sink`. Layer `N+1`
+/// is loaded on a worker thread while layer `N` is located, bumped and
+/// encoded — the two-slot rendezvous hand-off of
 /// [`for_each_layer_prefetched`], which is why `store` must be `Sync`
 /// (every [`LayerStore`] in this crate is). Peak memory stays at the
 /// model head plus one layer in flight plus the location table — never
@@ -311,11 +312,11 @@ where
     stream_watermark_impl(store, stats, signature, cfg, sink, locate_layer, true)
 }
 
-/// The pre-kernel, pre-overlap pipeline: serial sweeps over the scalar
-/// scoring baseline ([`crate::scoring::reference`]). This is what
-/// [`stream_watermark`] was before the PR 7 kernels — the
-/// `streaming_pipeline` bench measures end-to-end stamp throughput
-/// against it (≥1.5x gate) and asserts byte-identical output.
+/// The pre-kernel, pre-overlap pipeline: the same single sweep as
+/// [`stream_watermark`], run serially over the scalar scoring baseline
+/// ([`crate::scoring::reference`]) — the `streaming_pipeline` bench
+/// measures end-to-end stamp throughput against it (≥1.5x gate) and
+/// asserts byte-identical output.
 ///
 /// # Errors
 ///
@@ -348,7 +349,7 @@ type LocateFn =
     fn(&QuantizedLinear, &[f32], &WatermarkConfig, u64) -> Result<Vec<usize>, PoolError>;
 
 /// Both streaming pipelines, parameterized by the per-layer locate
-/// stage and whether sweeps overlap load with compute.
+/// stage and whether the sweep overlaps load with compute.
 fn stream_watermark_impl<S, K>(
     store: &S,
     stats: &ActivationStats,
@@ -382,47 +383,36 @@ where
         }
         .into());
     }
-    // Layer sub-seeds are drawn up front so the sweeps are pure
-    // per-layer functions, free to overlap.
+    // Eq. 5 only bumps grid values, so a stamped record is exactly as
+    // long as the original: the store's sizes can be declared up front.
+    begin_from(store, sink)?;
+    // Layers arrive in order, so each draws the next sub-seed.
     let mut sm = SplitMix64::new(cfg.selection_seed);
-    let seeds: Vec<u64> = (0..n).map(|_| sm.next_u64()).collect();
-    // Sweep 1 — locate + size, one layer resident (plus one in flight).
     let mut locations = Vec::with_capacity(n);
-    let mut metas = Vec::with_capacity(n);
     {
-        let _sweep_span = telemetry::Span::enter(&telemetry::STAMP_LOCATE_NS);
-        let mut sweep = |l: usize, layer: Cow<'_, QuantizedLinear>| -> Result<(), StoreError> {
-            let locs = locate(layer.as_ref(), &stats.per_layer[l].mean_abs, cfg, seeds[l])
-                .map_err(|source| WatermarkError::Pool { layer: l, source })?;
-            locations.push(locs);
-            metas.push(LayerRecordMeta::of(layer.as_ref()));
-            Ok(())
-        };
-        if overlap {
-            for_each_layer_prefetched(store, sweep)?;
-        } else {
-            for l in 0..n {
-                sweep(l, store.load_layer(l)?)?;
-            }
-        }
-    }
-    // Sweep 2 — insert + encode, streaming each stamped layer out.
-    sink.begin(&store.head()?, &metas)?;
-    {
-        let _sweep_span = telemetry::Span::enter(&telemetry::STAMP_INSERT_NS);
-        let mut sweep = |l: usize, layer: Cow<'_, QuantizedLinear>| -> Result<(), StoreError> {
+        let _sweep_span = telemetry::Span::enter(&telemetry::STAMP_SWEEP_NS);
+        // One layer resident (plus one in flight): locate, bump, encode.
+        let mut stamp = |l: usize, layer: Cow<'_, QuantizedLinear>| -> Result<(), StoreError> {
+            let locs = locate(
+                layer.as_ref(),
+                &stats.per_layer[l].mean_abs,
+                cfg,
+                sm.next_u64(),
+            )
+            .map_err(|source| WatermarkError::Pool { layer: l, source })?;
             let mut layer = layer.into_owned();
-            let bits = signature.layer_bits(l, n);
-            for (&f, &b) in locations[l].iter().zip(bits) {
+            for (&f, &b) in locs.iter().zip(signature.layer_bits(l, n)) {
                 layer.bump_q_flat(f, b);
             }
+            locations.push(locs);
+            let _encode_span = telemetry::Span::enter(&telemetry::STAMP_ENCODE_NS);
             sink.put_layer(l, &layer)
         };
         if overlap {
-            for_each_layer_prefetched(store, sweep)?;
+            for_each_layer_prefetched(store, stamp)?;
         } else {
             for l in 0..n {
-                sweep(l, store.load_layer(l)?)?;
+                stamp(l, store.load_layer(l)?)?;
             }
         }
     }

@@ -391,18 +391,27 @@ fn jsonl_round_trip_matches_in_process_snapshot() {
         "load spans must come from the prefetch worker, not the consumer thread"
     );
 
-    // Nested spans both record: each locate sweep wraps one scoring
-    // span per layer inside the sweep-level span.
+    // Nested spans all record: the one stamp sweep wraps one scoring
+    // span and one encode span per layer inside the sweep-level span.
     let pool = Telemetry::histogram("emmark_scoring_layer_pool_ns").unwrap();
-    let locate = Telemetry::histogram("emmark_stamp_locate_sweep_ns").unwrap();
+    let sweep = Telemetry::histogram("emmark_stamp_sweep_ns").unwrap();
+    let encode = Telemetry::histogram("emmark_stamp_encode_ns").unwrap();
     assert_eq!(pool.count(), n_layers as u64);
-    assert_eq!(locate.count(), 1);
+    assert_eq!(sweep.count(), 1);
+    assert_eq!(encode.count(), n_layers as u64);
     assert_eq!(
         Telemetry::counter("emmark_stream_layers_total")
             .unwrap()
             .get(),
-        2 * n_layers as u64,
-        "both sweeps stream every layer"
+        n_layers as u64,
+        "the one sweep streams every layer once"
+    );
+    assert_eq!(
+        Telemetry::histogram("emmark_stream_load_ns")
+            .unwrap()
+            .count(),
+        n_layers as u64,
+        "each layer is loaded exactly once"
     );
     Telemetry::reset();
 }
