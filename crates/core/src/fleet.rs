@@ -38,8 +38,8 @@ use crate::fingerprint::{derive_device, device_material, DeviceFingerprint, Fami
 use crate::signature::Signature;
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::{
-    check_same_grid, extract_with_locations, ExtractionReport, GridSource, Locations, OwnerSecrets,
-    ProofCutoff, WatermarkConfig, WatermarkError,
+    extract_with_locations, ExtractionReport, GridSource, Locations, OwnerSecrets, ProofCutoff,
+    WatermarkConfig, WatermarkError,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -296,13 +296,12 @@ impl FleetVerifier {
 
     /// Traces a leaked model through a fingerprint-cell inverted index
     /// ([`crate::registry::LeakIndex`]) instead of scoring every
-    /// registered device: the suspect's deltas at the index's cells are
-    /// read once, bucket lookups count exact per-device matched bits,
-    /// and only the devices whose counts clear the [`ProofCutoff`] —
-    /// typically zero or one of N — get the full Eq. 8 extraction.
+    /// registered device: [`crate::registry::LeakIndex::identify`]
+    /// counts every device's exact matched bits from the index alone,
+    /// and the winner's registration index maps to its device here.
     /// Verdicts (device *and* report, matched-bit counts included) are
-    /// bit-identical to [`Self::identify_leak`]; the index only narrows,
-    /// Eq. 8 decides.
+    /// bit-identical to [`Self::identify_leak`] for an index built over
+    /// this registry.
     ///
     /// # Errors
     ///
@@ -323,66 +322,26 @@ impl FleetVerifier {
                 self.devices.len()
             )));
         }
-        if self.devices.is_empty() {
-            // The linear scan never touches the suspect with an empty
-            // registry; neither may the index path.
-            return Ok(None);
-        }
-        let base = &self.family.base_deployed;
-        check_same_grid(leaked, base)?;
-        // A hand-edited manifest could name cells outside the grid;
-        // reject it up front instead of panicking mid-count.
-        if let Some((l, f)) = index.cell_out_of_bounds(base) {
-            return Err(WatermarkError::InvalidConfig(format!(
-                "leak index references cell (layer {l}, flat {f}) outside the registry's layer grid"
-            )));
-        }
-        let mut cutoff = ProofCutoff::new(log10_threshold);
-        let total_bits = self.fingerprint_config.signature_len(base.layer_count());
-        let Some(min_matched) = cutoff.min_matched(total_bits) else {
-            // Even a perfect fingerprint match cannot clear the
-            // threshold — the linear scan skips every device.
-            return Ok(None);
-        };
-        let span = telemetry::Span::enter(&telemetry::IDENTIFY_NS);
-        let mut best: Option<(&DeviceFingerprint, ExtractionReport)> = None;
-        let mut candidates = 0u64;
-        // Candidates come back in registration order, so tie-breaking
-        // (strictly-better wins, first registration kept) matches the
-        // linear scan exactly.
-        for d in index.candidates(leaked, base, min_matched) {
-            candidates += 1;
-            let (sig, locs) = &self.device_material[d];
-            let report = extract_with_locations(leaked, base, locs, sig)?;
-            if !cutoff.clears(&report) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, b)) => report.log10_p_chance() < b.log10_p_chance(),
-            };
-            if better {
-                best = Some((&self.devices[d], report));
-            }
-        }
-        if Telemetry::enabled() {
-            telemetry::IDENTIFY_DEVICES.add(self.devices.len() as u64);
-            telemetry::IDENTIFY_CANDIDATES.add(candidates);
-        }
-        drop(span);
-        Ok(best)
+        let traced = index.identify(leaked, log10_threshold)?;
+        Ok(traced.map(|(d, report)| (&self.devices[d], report)))
     }
 
     /// The fingerprint-cell inverted index over this registry's device
-    /// material — what sharded provisioning persists into the EMFM
-    /// manifest ([`crate::registry`]) and
-    /// [`Self::identify_leak_indexed`] consumes.
+    /// material and the family's base deployment — what sharded
+    /// provisioning persists into the EMFM manifest ([`crate::registry`])
+    /// and [`Self::identify_leak_indexed`] consumes.
     pub fn leak_index(&self) -> crate::registry::LeakIndex {
         crate::registry::LeakIndex::from_material(
             self.devices.len(),
-            self.pools.len(),
+            self.fingerprint_config.bits_per_layer,
+            &self.family.base_deployed,
             self.device_material.iter(),
         )
+    }
+
+    /// The base-watermarked reference every device was stamped from.
+    pub(crate) fn base_deployed(&self) -> &emmark_quant::QuantizedModel {
+        &self.family.base_deployed
     }
 
     /// Full verdict for one decoded suspect: ownership proof plus leak

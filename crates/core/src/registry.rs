@@ -15,15 +15,16 @@
 //!   from *shared per-layer pools* ([`crate::fingerprint`]), so across
 //!   the whole fleet only `layers × pool_size` distinct cells ever carry
 //!   a fingerprint bit — independent of fleet size. The manifest
-//!   persists a [`LeakIndex`]: for every such cell, the devices
-//!   expecting `−1` and the devices expecting `+1` there. Identification
-//!   reads the suspect's delta at each indexed cell *once*, counts exact
-//!   per-device matched bits through the buckets, and runs the full
-//!   Eq. 8 extraction only on the handful of devices whose counts clear
-//!   the threshold. The index only narrows; Eq. 8 decides — verdicts
-//!   are bit-identical to the linear scan.
+//!   persists a [`LeakIndex`]: for every such cell, the base-deployed
+//!   weight there plus the devices expecting `−1` and the devices
+//!   expecting `+1`, and the layer shapes of the base deployment.
+//!   Identification reads the suspect's delta at each indexed cell
+//!   *once* and counts exact per-device matched bits through the
+//!   buckets — those counts *are* the Eq. 7 matches, so the index alone
+//!   decides, bit-identical to the linear scan, with no owner vault and
+//!   no scoring ([`ShardManifest::identify_leak`]).
 //!
-//! ## `EMFM` wire format (version 1)
+//! ## `EMFM` wire format (version 2)
 //!
 //! Little-endian throughout, like every other codec in this crate:
 //!
@@ -37,14 +38,20 @@
 //! per cell:   layer u32 | flat offset u64
 //!             | −1 bucket (u32 len + u32 device ids)
 //!             | +1 bucket (u32 len + u32 device ids)
+//! base column: one i8 per cell, in cell order (base-deployed q)
+//! shapes:     layer count u32 | per layer: in u32 | out u32
+//! trailer:    FNV-1a u64 of every preceding byte
 //! ```
 //!
 //! Decoding validates that shard ranges are contiguous from device 0
 //! (no gaps, no overlaps) and sum to the total, that the shard registry
 //! version matches the `EMFR` version this build writes
 //! ([`CodecError::MixedVersion`] otherwise), that index cells are
-//! strictly sorted by `(layer, flat)`, and that every bucket is strictly
-//! ascending with ids inside the device range.
+//! strictly sorted by `(layer, flat)` and lie inside the shape table,
+//! that every bucket is strictly ascending with ids inside the device
+//! range, and — last, so structural faults keep their specific errors —
+//! the trailing checksum. Version 1 manifests (no base column, no shape
+//! table, no trailer) are refused with [`CodecError::BadVersion`].
 
 use crate::deploy::{
     artifact_version, decode_model, put_string, put_watermark_config, CodecError, Reader, Section,
@@ -60,7 +67,8 @@ use crate::signature::Signature;
 use crate::store::StoreError;
 use crate::telemetry::{self, Telemetry};
 use crate::watermark::{
-    ExtractionReport, GridSource, Locations, OwnerSecrets, WatermarkConfig, WatermarkError,
+    check_grid_dims, ExtractionReport, GridSource, Locations, OwnerSecrets, ProofCutoff,
+    WatermarkConfig, WatermarkError,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fs::File;
@@ -69,14 +77,19 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub(crate) const MANIFEST_MAGIC: &[u8; 4] = b"EMFM";
-pub(crate) const MANIFEST_VERSION: u32 = 1;
+/// The `EMFM` version this build writes and reads.
+pub const MANIFEST_VERSION: u32 = 2;
 
-/// One fingerprint cell's inverted-index entry: the devices whose
-/// signatures expect `−1` respectively `+1` at `(layer, flat)`.
+/// One fingerprint cell's inverted-index entry: the base-deployed
+/// weight at `(layer, flat)` and the devices whose signatures expect
+/// `−1` respectively `+1` there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct IndexCell {
     layer: u32,
     flat: u64,
+    /// The base deployment's integer weight here — the Eq. 6 reference
+    /// every device's delta is taken against.
+    base: i8,
     /// Devices expecting a `−1` delta here, ascending registration order.
     neg: Vec<u32>,
     /// Devices expecting a `+1` delta here, ascending registration order.
@@ -90,12 +103,16 @@ struct IndexCell {
 /// however many devices are registered — reading the suspect once at
 /// those cells yields *exact* per-device matched-bit counts (each
 /// device/cell pair appears in exactly one bucket, and an Eq. 6 delta
-/// matches exactly one bucket per cell). That makes candidate
-/// narrowing lossless: a device clears the Eq. 8 threshold iff its
-/// bucket count does.
+/// matches exactly one bucket per cell). With the base-deployed weight
+/// stored per cell and the layer shapes alongside, the index is a
+/// self-sufficient identification engine ([`Self::identify`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakIndex {
     device_count: usize,
+    /// Fingerprint bits per layer (the fleet's fingerprint config).
+    bits_per_layer: usize,
+    /// `(in_features, out_features)` per layer of the base deployment.
+    shapes: Vec<(usize, usize)>,
     /// Strictly sorted by `(layer, flat)`.
     cells: Vec<IndexCell>,
 }
@@ -142,19 +159,31 @@ impl LeakIndexBuilder {
         self.devices += 1;
     }
 
-    pub(crate) fn finish(self) -> LeakIndex {
+    /// Seals the index over `base`, the base deployment every device was
+    /// stamped from: its shapes and its weight at every indexed cell.
+    pub(crate) fn finish<G: GridSource + ?Sized>(
+        self,
+        bits_per_layer: usize,
+        base: &G,
+    ) -> LeakIndex {
+        let shapes = (0..base.source_layer_count())
+            .map(|l| base.layer_dims(l))
+            .collect();
         let cells = self
             .cells
             .into_iter()
             .map(|((layer, flat), (neg, pos))| IndexCell {
                 layer,
                 flat,
+                base: base.q_at(layer as usize, flat as usize),
                 neg,
                 pos,
             })
             .collect();
         LeakIndex {
             device_count: self.devices,
+            bits_per_layer,
+            shapes,
             cells,
         }
     }
@@ -162,16 +191,22 @@ impl LeakIndexBuilder {
 
 impl LeakIndex {
     /// Builds the index from per-device fingerprint material in
-    /// registration order.
-    pub(crate) fn from_material<'a, I>(device_count: usize, n_layers: usize, material: I) -> Self
+    /// registration order, over the base deployment `base`.
+    pub(crate) fn from_material<'a, G, I>(
+        device_count: usize,
+        bits_per_layer: usize,
+        base: &G,
+        material: I,
+    ) -> Self
     where
+        G: GridSource + ?Sized,
         I: IntoIterator<Item = &'a (Signature, Locations)>,
     {
-        let mut builder = LeakIndexBuilder::new(n_layers);
+        let mut builder = LeakIndexBuilder::new(base.source_layer_count());
         for (sig, locs) in material {
             builder.push(sig, locs);
         }
-        let index = builder.finish();
+        let index = builder.finish(bits_per_layer, base);
         assert_eq!(
             index.device_count, device_count,
             "material iterator covers every device"
@@ -190,54 +225,53 @@ impl LeakIndex {
         self.cells.len()
     }
 
-    /// The first indexed cell falling outside `grid`'s layers, if any —
-    /// a well-formed index over the matching registry never has one.
-    pub(crate) fn cell_out_of_bounds<G: GridSource + ?Sized>(
-        &self,
-        grid: &G,
-    ) -> Option<(usize, usize)> {
-        let n = grid.source_layer_count();
-        for c in &self.cells {
-            let (l, f) = (c.layer as usize, c.flat as usize);
-            if l >= n {
-                return Some((l, f));
-            }
-            let (in_f, out_f) = grid.layer_dims(l);
-            if f >= in_f * out_f {
-                return Some((l, f));
-            }
-        }
-        None
+    /// Number of layers in the persisted shape table.
+    pub fn layer_count(&self) -> usize {
+        self.shapes.len()
     }
 
-    /// Devices whose exact matched-bit count against `suspect` (deltas
-    /// taken against `reference`, Eq. 6) reaches `min_matched`, in
-    /// ascending registration order.
+    /// Indexed leak identification — the one engine behind every
+    /// indexed identify (CLI, service, [`IndexedFleetVerifier`]).
     ///
-    /// Counting is exact, not heuristic: every fingerprint bit of every
-    /// device lives in exactly one bucket, and a suspect delta of `−1`
-    /// or `+1` matches exactly that bucket (a delta of `0` or anything
-    /// else matches no device's bit). `min_matched == 0` therefore
-    /// returns every device, matching the linear scan's behaviour at a
-    /// vacuous threshold.
-    pub(crate) fn candidates<S, R>(
+    /// Checks `suspect`'s grid against the persisted shapes, reads its
+    /// Eq. 6 delta against the persisted base value at every indexed
+    /// cell once, and counts per-device matches through the buckets.
+    /// Every fingerprint bit of every device lives in exactly one
+    /// bucket and a delta matches at most one bucket per cell, so a
+    /// count *is* that device's Eq. 7 `matched_bits` — the report the
+    /// linear scan would extract. [`ProofCutoff`] over the signature
+    /// length (`bits_per_layer × layers`) decides who clears; the
+    /// strongest clearing device wins and ties keep the first
+    /// registration, as in the linear scan.
+    ///
+    /// Returns the winner's registration index and its report.
+    ///
+    /// # Errors
+    ///
+    /// [`WatermarkError::ShapeMismatch`] on a foreign layer grid — the
+    /// same text [`crate::watermark::check_same_grid`] gives the linear
+    /// scan. An empty index returns `Ok(None)` without touching the
+    /// suspect, as the linear scan over no devices does.
+    pub fn identify<S: GridSource + ?Sized>(
         &self,
         suspect: &S,
-        reference: &R,
-        min_matched: usize,
-    ) -> Vec<usize>
-    where
-        S: GridSource + ?Sized,
-        R: GridSource + ?Sized,
-    {
-        if min_matched == 0 {
-            return (0..self.device_count).collect();
+        log10_threshold: f64,
+    ) -> Result<Option<(usize, ExtractionReport)>, WatermarkError> {
+        if self.device_count == 0 {
+            return Ok(None);
         }
+        check_grid_dims(suspect, self.shapes.len(), |l| self.shapes[l])?;
+        let total_bits = self.bits_per_layer * self.shapes.len();
+        let Some(min_matched) = ProofCutoff::new(log10_threshold).min_matched(total_bits) else {
+            // Even a perfect fingerprint match cannot clear the
+            // threshold — the linear scan skips every device.
+            return Ok(None);
+        };
+        let span = telemetry::Span::enter(&telemetry::IDENTIFY_NS);
         let mut counts = vec![0u32; self.device_count];
         for cell in &self.cells {
-            let (l, f) = (cell.layer as usize, cell.flat as usize);
-            let delta = suspect.q_at(l, f) as i16 - reference.q_at(l, f) as i16;
-            let bucket = match delta {
+            let q = suspect.q_at(cell.layer as usize, cell.flat as usize);
+            let bucket = match q as i16 - cell.base as i16 {
                 -1 => &cell.neg,
                 1 => &cell.pos,
                 _ => continue,
@@ -246,16 +280,71 @@ impl LeakIndex {
                 counts[d as usize] += 1;
             }
         }
-        // An ordered sweep over the dense count array both filters and
-        // yields ascending registration order in one pass — faster than
-        // sorting a touched-device list when buckets are dense, which
-        // they are whenever fleets share per-layer fingerprint pools.
-        counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c as usize >= min_matched)
-            .map(|(d, _)| d)
-            .collect()
+        // One ordered sweep over the dense counts both filters and
+        // visits devices in registration order, which is what makes
+        // strictly-better-wins keep the first registration on ties.
+        let mut best: Option<(usize, ExtractionReport)> = None;
+        let mut cleared = 0u64;
+        for (d, &matched) in counts.iter().enumerate() {
+            if (matched as usize) < min_matched {
+                continue;
+            }
+            cleared += 1;
+            let report = ExtractionReport {
+                total_bits,
+                matched_bits: matched as usize,
+            };
+            let better = match &best {
+                None => true,
+                Some((_, b)) => report.log10_p_chance() < b.log10_p_chance(),
+            };
+            if better {
+                best = Some((d, report));
+            }
+        }
+        if Telemetry::enabled() {
+            telemetry::IDENTIFY_DEVICES.add(self.device_count as u64);
+            telemetry::IDENTIFY_CANDIDATES.add(cleared);
+        }
+        drop(span);
+        Ok(best)
+    }
+
+    /// Checks the persisted fingerprint width, shapes and base values
+    /// against a registry and the base deployment its vault reproduces.
+    ///
+    /// # Errors
+    ///
+    /// [`WatermarkError::InvalidConfig`] naming the first disagreement —
+    /// for a base value, its layer and cell.
+    fn check_against<G: GridSource + ?Sized>(
+        &self,
+        bits_per_layer: usize,
+        base: &G,
+    ) -> Result<(), WatermarkError> {
+        if self.bits_per_layer != bits_per_layer {
+            return Err(WatermarkError::InvalidConfig(format!(
+                "leak index counts {} fingerprint bits per layer, registry {bits_per_layer}",
+                self.bits_per_layer
+            )));
+        }
+        check_grid_dims(base, self.shapes.len(), |l| self.shapes[l]).map_err(|e| {
+            WatermarkError::InvalidConfig(format!(
+                "leak index shape table disagrees with the vault's base deployment ({e})"
+            ))
+        })?;
+        for c in &self.cells {
+            let want = base.q_at(c.layer as usize, c.flat as usize);
+            if c.base != want {
+                return Err(WatermarkError::InvalidConfig(format!(
+                    "leak index base value at layer {}, cell {} is {}, but the vault's base \
+                     deployment has {want}: the manifest was altered or provisioned from \
+                     another vault",
+                    c.layer, c.flat, c.base
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -276,6 +365,12 @@ pub struct ShardEntry {
 }
 
 /// The `EMFM` manifest of a sharded fleet registry.
+///
+/// The manifest is the trust root for attribution: its shard entries
+/// bind device ids to registration slots under an unkeyed checksum, so
+/// whoever can rewrite the fleet directory can already reassign ids.
+/// Indexed identification therefore needs nothing the manifest does not
+/// carry — no owner vault.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {
     /// The fingerprint parameters every shard was provisioned with.
@@ -288,6 +383,78 @@ pub struct ShardManifest {
     pub index: LeakIndex,
 }
 
+impl ShardManifest {
+    /// Reads shard `i` through `read_shard` and decodes it against its
+    /// entry (length, checksum, version, config, device count).
+    fn load_shard<F>(&self, i: usize, read_shard: F) -> Result<Vec<DeviceFingerprint>, StoreError>
+    where
+        F: FnOnce(&str) -> std::io::Result<Vec<u8>>,
+    {
+        let _span = telemetry::Span::enter(&telemetry::SHARD_LOAD_NS);
+        let bytes = read_shard(&self.shards[i].name).map_err(|e| StoreError::Io {
+            what: "shard read",
+            source: e,
+        })?;
+        Ok(decode_shard(&bytes, self, i)?)
+    }
+
+    /// Leak identification from the manifest alone: [`LeakIndex::identify`]
+    /// names the device, then only the winner's shard is read (through
+    /// `read_shard`, keyed by shard file name) and validated exactly as
+    /// [`load_sharded_registry`] validates every shard. No vault, no
+    /// family, no scoring; a suspect no device clears reads no shard.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Watermark`] on a foreign suspect grid,
+    /// [`StoreError::Io`] when `read_shard` fails, and
+    /// [`StoreError::Codec`] when the winner's shard does not match its
+    /// manifest entry.
+    pub fn identify_leak<S, F>(
+        &self,
+        suspect: &S,
+        log10_threshold: f64,
+        read_shard: F,
+    ) -> Result<Option<(DeviceFingerprint, ExtractionReport)>, StoreError>
+    where
+        S: GridSource + ?Sized,
+        F: FnOnce(&str) -> std::io::Result<Vec<u8>>,
+    {
+        let Some((d, report)) = self.index.identify(suspect, log10_threshold)? else {
+            return Ok(None);
+        };
+        // Shards tile 0..total contiguously (checked at decode).
+        let i = self
+            .shards
+            .partition_point(|s| s.first_device + s.device_count <= d as u64);
+        let slot = d - self.shards[i].first_device as usize;
+        let device = self.load_shard(i, read_shard)?.swap_remove(slot);
+        Ok(Some((device, report)))
+    }
+
+    /// [`Self::identify_leak`] over deploy-codec artifact bytes — v2
+    /// probed sparsely, v1 decoded — with shard files resolved in `dir`,
+    /// the manifest's directory.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Codec`] for malformed artifact bytes, otherwise as
+    /// [`Self::identify_leak`].
+    pub fn identify_artifact(
+        &self,
+        dir: &Path,
+        artifact: &[u8],
+        log10_threshold: f64,
+    ) -> Result<Option<(DeviceFingerprint, ExtractionReport)>, StoreError> {
+        let read = |name: &str| std::fs::read(dir.join(name));
+        if artifact_version(artifact)? == FORMAT_V2 {
+            self.identify_leak(&SparseArtifact::open(artifact)?, log10_threshold, read)
+        } else {
+            self.identify_leak(&decode_model(artifact)?, log10_threshold, read)
+        }
+    }
+}
+
 /// Canonical shard file name for shard `i`: `registry-00042.emfr`.
 pub fn shard_file_name(i: usize) -> String {
     format!("registry-{i:05}.emfr")
@@ -295,14 +462,18 @@ pub fn shard_file_name(i: usize) -> String {
 
 /// The checksum of a shard file's bytes as recorded in its manifest
 /// entry (FNV-1a) — exposed so external tooling can re-stamp entries
-/// after rewriting a shard.
+/// after rewriting a shard. A manifest's own trailer is the same
+/// checksum over every byte before it.
 pub fn shard_checksum(bytes: &[u8]) -> u64 {
     fxhash(bytes)
 }
 
 /// Serializes an `EMFM` manifest.
 pub fn encode_manifest(m: &ShardManifest) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + m.shards.len() * 64 + m.index.cells.len() * 48);
+    let ix = &m.index;
+    let mut buf = BytesMut::with_capacity(
+        80 + m.shards.len() * 64 + ix.cells.len() * 49 + ix.shapes.len() * 8,
+    );
     buf.put_slice(MANIFEST_MAGIC);
     buf.put_u32_le(MANIFEST_VERSION);
     buf.put_u32_le(REGISTRY_VERSION);
@@ -316,8 +487,8 @@ pub fn encode_manifest(m: &ShardManifest) -> Bytes {
         buf.put_u64_le(s.byte_len);
         buf.put_u64_le(s.checksum);
     }
-    buf.put_u32_le(m.index.cells.len() as u32);
-    for c in &m.index.cells {
+    buf.put_u32_le(ix.cells.len() as u32);
+    for c in &ix.cells {
         buf.put_u32_le(c.layer);
         buf.put_u64_le(c.flat);
         for bucket in [&c.neg, &c.pos] {
@@ -327,6 +498,16 @@ pub fn encode_manifest(m: &ShardManifest) -> Bytes {
             }
         }
     }
+    for c in &ix.cells {
+        buf.put_u8(c.base as u8);
+    }
+    buf.put_u32_le(ix.shapes.len() as u32);
+    for &(in_f, out_f) in &ix.shapes {
+        buf.put_u32_le(in_f as u32);
+        buf.put_u32_le(out_f as u32);
+    }
+    let checksum = fxhash(&buf);
+    buf.put_u64_le(checksum);
     buf.freeze()
 }
 
@@ -371,12 +552,15 @@ fn read_bucket(r: &mut Reader, total: u64, what: &'static str) -> Result<Vec<u32
 /// # Errors
 ///
 /// [`CodecError::BadMagic`]/[`CodecError::BadVersion`] for foreign or
-/// unsupported inputs, [`CodecError::MixedVersion`] when the manifest
-/// declares shards of a registry version this build does not write, and
+/// unsupported inputs (a version 1 manifest included),
+/// [`CodecError::MixedVersion`] when the manifest declares shards of a
+/// registry version this build does not write, and
 /// [`CodecError::Truncated`]/[`CodecError::Corrupt`] (overlapping or
-/// gapped shard ranges, unsorted index, out-of-range device ids) for
-/// malformed ones.
+/// gapped shard ranges, unsorted index, out-of-range device ids, cells
+/// outside the shape table, trailing bytes, and — checked last — a
+/// checksum mismatch) for malformed ones.
 pub fn decode_manifest(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
+    let _span = telemetry::Span::enter(&telemetry::MANIFEST_LOAD_NS);
     let mut r = Reader::new(bytes, Section::Manifest);
     r.magic(MANIFEST_MAGIC)?;
     let version = r.u32("manifest version")?;
@@ -429,8 +613,9 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
     }
     r.enter(Section::LeakIndex);
     let cell_count = r.u32("index cell count")? as usize;
-    // Each cell is at least 20 bytes (layer + flat + two bucket lengths).
-    r.need(cell_count.saturating_mul(20), "index cells")?;
+    // Each cell is at least 21 bytes (layer + flat + two bucket lengths
+    // + its base byte).
+    r.need(cell_count.saturating_mul(21), "index cells")?;
     let mut cells = Vec::with_capacity(cell_count);
     let mut prev: Option<(u32, u64)> = None;
     for _ in 0..cell_count {
@@ -451,9 +636,47 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
         cells.push(IndexCell {
             layer,
             flat,
+            base: 0,
             neg,
             pos,
         });
+    }
+    let column = r.take(cell_count, "index base values")?;
+    for (c, &q) in cells.iter_mut().zip(column) {
+        c.base = q as i8;
+    }
+    let n_layers = r.u32("shape table layer count")? as usize;
+    r.need(n_layers.saturating_mul(8), "shape table")?;
+    let mut shapes = Vec::with_capacity(n_layers);
+    for _ in 0..n_layers {
+        let in_f = r.u32("layer in_features")? as usize;
+        let out_f = r.u32("layer out_features")? as usize;
+        shapes.push((in_f, out_f));
+    }
+    // Cells are sorted, but each layer has its own bound: check them
+    // all, so identification never probes outside the suspect's grid.
+    for c in &cells {
+        let inside = shapes
+            .get(c.layer as usize)
+            .is_some_and(|&(in_f, out_f)| c.flat < (in_f * out_f) as u64);
+        if !inside {
+            return Err(r.corrupt(format!(
+                "index cell (layer {}, flat {}) falls outside the {n_layers}-layer shape table",
+                c.layer, c.flat
+            )));
+        }
+    }
+    r.enter(Section::Manifest);
+    let body_len = r.offset();
+    let checksum = r.u64("manifest checksum")?;
+    if r.offset() != bytes.len() {
+        return Err(r.corrupt(format!(
+            "{} trailing bytes after the manifest checksum",
+            bytes.len() - r.offset()
+        )));
+    }
+    if fxhash(&bytes[..body_len]) != checksum {
+        return Err(r.corrupt("manifest checksum mismatch"));
     }
     Ok(ShardManifest {
         fingerprint_config,
@@ -461,6 +684,8 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<ShardManifest, CodecError> {
         shards,
         index: LeakIndex {
             device_count: total_devices as usize,
+            bits_per_layer: fingerprint_config.bits_per_layer,
+            shapes,
             cells,
         },
     })
@@ -501,6 +726,19 @@ pub fn manifest_section_boundaries(bytes: &[u8]) -> Result<Vec<usize>, CodecErro
             boundaries.push(r.offset());
         }
     }
+    for _ in 0..cell_count {
+        let _ = r.i8("index base value")?;
+        boundaries.push(r.offset());
+    }
+    let n_layers = r.u32("shape table layer count")? as usize;
+    boundaries.push(r.offset());
+    for _ in 0..n_layers {
+        let _ = r.u32("layer in_features")?;
+        let _ = r.u32("layer out_features")?;
+        boundaries.push(r.offset());
+    }
+    let _ = r.u64("manifest checksum")?;
+    boundaries.push(r.offset());
     boundaries.sort_unstable();
     boundaries.dedup();
     Ok(boundaries)
@@ -598,7 +836,7 @@ where
         fingerprint_config: *cfg,
         total_devices: device_ids.len() as u64,
         shards,
-        index: builder.finish(),
+        index: builder.finish(cfg.bits_per_layer, provisioner.base_deployed()),
     })
 }
 
@@ -668,10 +906,7 @@ impl ShardedRegistry {
     /// location-reproduction errors (see [`FleetVerifier::from_parts`]).
     pub fn into_verifier(self, base: OwnerSecrets) -> Result<IndexedFleetVerifier, WatermarkError> {
         let verifier = FleetVerifier::from_parts(base, self.fingerprint_config, self.devices)?;
-        Ok(IndexedFleetVerifier {
-            verifier,
-            index: self.index,
-        })
+        IndexedFleetVerifier::new(verifier, self.index)
     }
 }
 
@@ -697,12 +932,8 @@ where
 {
     let manifest = decode_manifest(manifest_bytes)?;
     let mut devices = Vec::with_capacity(manifest.total_devices as usize);
-    for (i, entry) in manifest.shards.iter().enumerate() {
-        let bytes = read_shard(&entry.name).map_err(|e| StoreError::Io {
-            what: "shard read",
-            source: e,
-        })?;
-        devices.extend(decode_shard(&bytes, &manifest, i)?);
+    for i in 0..manifest.shards.len() {
+        devices.extend(manifest.load_shard(i, &mut read_shard)?);
     }
     Ok(ShardedRegistry {
         fingerprint_config: manifest.fingerprint_config,
@@ -732,7 +963,7 @@ fn decode_shard(
     r.magic(REGISTRY_MAGIC)?;
     let version = r.u32("shard registry version")?;
     if version != REGISTRY_VERSION {
-        // A v-next shard under a v1 manifest (or vice versa) is a
+        // A shard of another registry version under this manifest is a
         // mixed-version layout, not mere corruption.
         return Err(CodecError::MixedVersion {
             outer: MANIFEST_VERSION,
@@ -765,9 +996,9 @@ fn decode_shard(
 
 /// The indexed verification engine: a [`FleetVerifier`] paired with its
 /// [`LeakIndex`], so leak attribution is sublinear in fleet size while
-/// every verdict stays bit-identical to the linear engine. It is the one
-/// verification engine of the CLI and the service; the linear scan
-/// ([`Self::verifier`]) stays reachable as the oracle.
+/// every verdict stays bit-identical to the linear engine. It is the
+/// verification engine of `fleet-verify` and the service; the linear
+/// scan ([`Self::verifier`]) stays reachable as the oracle.
 #[derive(Debug, Clone)]
 pub struct IndexedFleetVerifier {
     verifier: FleetVerifier,
@@ -784,12 +1015,16 @@ impl From<FleetVerifier> for IndexedFleetVerifier {
 }
 
 impl IndexedFleetVerifier {
-    /// Pairs a verifier with an index built over the same registry.
+    /// Pairs a verifier with an index built over the same registry,
+    /// cross-checking the index's persisted shapes and base values
+    /// against the base deployment the verifier's vault reproduces — the
+    /// values indexed identification diffs every suspect against.
     ///
     /// # Errors
     ///
     /// [`WatermarkError::InvalidConfig`] when the index covers a
-    /// different device population.
+    /// different device population or fingerprint width, or disagrees
+    /// with the base deployment (naming the first layer and cell).
     pub fn new(verifier: FleetVerifier, index: LeakIndex) -> Result<Self, WatermarkError> {
         if index.device_count() != verifier.devices().len() {
             return Err(WatermarkError::InvalidConfig(format!(
@@ -798,6 +1033,10 @@ impl IndexedFleetVerifier {
                 verifier.devices().len()
             )));
         }
+        index.check_against(
+            verifier.fingerprint_config().bits_per_layer,
+            verifier.base_deployed(),
+        )?;
         Ok(Self { verifier, index })
     }
 
@@ -812,19 +1051,19 @@ impl IndexedFleetVerifier {
         &self.index
     }
 
-    /// Indexed leak attribution — see
-    /// [`FleetVerifier::identify_leak_indexed`].
+    /// Indexed leak attribution: [`LeakIndex::identify`], with the
+    /// winning registration index mapped to its device.
     ///
     /// # Errors
     ///
-    /// Propagates extraction errors.
+    /// [`WatermarkError::ShapeMismatch`] on a foreign layer grid.
     pub fn identify_leak<S: GridSource + ?Sized>(
         &self,
         leaked: &S,
         log10_threshold: f64,
     ) -> Result<Option<(&DeviceFingerprint, ExtractionReport)>, WatermarkError> {
-        self.verifier
-            .identify_leak_indexed(&self.index, leaked, log10_threshold)
+        let traced = self.index.identify(leaked, log10_threshold)?;
+        Ok(traced.map(|(d, report)| (&self.verifier.devices()[d], report)))
     }
 
     /// Full verdict for one decoded suspect — ownership proof plus

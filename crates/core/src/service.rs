@@ -7,8 +7,12 @@
 //! `Family` per owner vault behind a small LRU — the same per-family state
 //! the fleet provisioner and verifier run over, built once whichever
 //! request needs it first — and schedules framed requests across a
-//! bounded worker pool with explicit backpressure. Leak identification
-//! always runs through one [`IndexedFleetVerifier`] per registry input.
+//! bounded worker pool with explicit backpressure. Indexed leak
+//! identification against an EMFM manifest path answers from the
+//! manifest alone ([`crate::registry::ShardManifest::identify_artifact`],
+//! the CLI's path — no vault, no family); inline EMFR registries and the
+//! linear oracle run through one [`IndexedFleetVerifier`] per registry
+//! input.
 //!
 //! # Framing protocol
 //!
@@ -115,7 +119,8 @@ pub enum Request {
     },
     /// Identify which provisioned device a leaked artifact came from.
     IdentifyLeak {
-        /// The owner vault (`EMWS`).
+        /// The owner vault (`EMWS`); not read by an indexed identify
+        /// against a manifest path.
         secrets: Blob,
         /// A fleet registry (`EMFR`) or shard manifest (`EMFM`; must be
         /// a path blob so shards resolve beside it).
@@ -1175,10 +1180,23 @@ fn handle_request(inner: &Arc<Inner>, request: Request) -> Result<Response, Serv
             linear,
         } => {
             let _span = Span::enter(&SERVICE_IDENTIFY_NS);
-            let (key, family) = load_family(inner, &secrets, &mut lease)?;
-            let verifier = load_verifier(inner, key, &family, &registry, &mut lease)?;
+            let registry_bytes = load_blob(&registry, "fleet registry", &mut lease)?;
             let bytes = load_blob(&suspect, "suspect artifact", &mut lease)?;
-            let matched = identify_suspect(&verifier, &bytes, log10_threshold, linear)?;
+            let matched = match &registry {
+                // A manifest answers an indexed identify alone — the
+                // CLI's path: no vault, no family.
+                Blob::Path(path) if !linear && registry_bytes.starts_with(b"EMFM") => {
+                    let dir = Path::new(path).parent().unwrap_or(Path::new(""));
+                    decode_manifest(&registry_bytes)?
+                        .identify_artifact(dir, &bytes, log10_threshold)?
+                        .map(|(fp, report)| (fp, ReportSummary::from(&report)))
+                }
+                _ => {
+                    let (key, family) = load_family(inner, &secrets, &mut lease)?;
+                    let verifier = load_verifier(inner, key, &family, &registry, &registry_bytes)?;
+                    identify_suspect(&verifier, &bytes, log10_threshold, linear)?
+                }
+            };
             Ok(Response::Identify { matched })
         }
         Request::Inspect { target } => {
@@ -1343,10 +1361,9 @@ fn load_verifier(
     family_key: CacheKey,
     family: &Arc<Family>,
     registry: &Blob,
-    lease: &mut BudgetLease<'_>,
+    bytes: &[u8],
 ) -> Result<Arc<IndexedFleetVerifier>, ServiceError> {
-    let bytes = load_blob(registry, "fleet registry", lease)?;
-    let key = (family_key, cache_key(&bytes));
+    let key = (family_key, cache_key(bytes));
     // Poisoned only if a worker panicked while holding the cache.
     let lock = || inner.cache.lock().expect("cache lock poisoned");
     if let Some(verifier) = lock().verifiers.get(&key) {
@@ -1358,7 +1375,7 @@ fn load_verifier(
     if Telemetry::enabled() {
         SERVICE_CACHE_MISSES.incr();
     }
-    let built = Arc::new(build_verifier(family, registry, &bytes)?);
+    let built = Arc::new(build_verifier(family, registry, bytes)?);
     let mut lru = lock();
     // Keep it warm only while its family is: an evicted (or evicted and
     // rebuilt) family's verifiers must not outlive it in the map.

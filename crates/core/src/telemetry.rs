@@ -430,6 +430,15 @@ registry! {
         /// One leak identification over the full fleet.
         IDENTIFY_NS: "emmark_identify_ns" =>
             "Wall time of one leak identification";
+        /// One owner-vault decode.
+        VAULT_DECODE_NS: "emmark_vault_decode_ns" =>
+            "Wall time of one vault::decode_secrets";
+        /// One EMFM manifest decode (validation and checksum included).
+        MANIFEST_LOAD_NS: "emmark_manifest_load_ns" =>
+            "Wall time of one registry::decode_manifest";
+        /// One registry shard read and decode.
+        SHARD_LOAD_NS: "emmark_shard_load_ns" =>
+            "Wall time of one shard read + decode against its manifest entry";
         /// Per-shard stamp time (fingerprint material + device
         /// entries).
         SHARD_STAMP_NS: "emmark_provision_shard_stamp_ns" =>

@@ -18,6 +18,7 @@ use crate::deploy::{
     CodecError, Reader, Section, FORMAT_V1, FORMAT_V2,
 };
 use crate::signature::Signature;
+use crate::telemetry;
 use crate::watermark::OwnerSecrets;
 use bytes::{BufMut, Bytes, BytesMut};
 use emmark_nanolm::model::{ActivationStats, LayerActivation};
@@ -82,6 +83,7 @@ pub fn encode_secrets_v1(secrets: &OwnerSecrets) -> Bytes {
 /// [`CodecError::MixedVersion`] when the vault version and the embedded
 /// model's format version disagree.
 pub fn decode_secrets(bytes: &[u8]) -> Result<OwnerSecrets, CodecError> {
+    let _span = telemetry::Span::enter(&telemetry::VAULT_DECODE_NS);
     let mut r = Reader::new(bytes, Section::Vault);
     r.magic(MAGIC)?;
     let version = r.u32("secrets version")?;

@@ -613,16 +613,32 @@ where
     S: GridSource + ?Sized,
     R: GridSource + ?Sized,
 {
-    if suspect.source_layer_count() != reference.source_layer_count() {
+    check_grid_dims(suspect, reference.source_layer_count(), |l| {
+        reference.layer_dims(l)
+    })
+}
+
+/// [`check_same_grid`] against a reference given only by its layer
+/// count and per-layer `(in, out)` dims — e.g. a persisted shape table.
+/// Same errors, same text.
+pub(crate) fn check_grid_dims<S, D>(
+    suspect: &S,
+    n_layers: usize,
+    reference_dims: D,
+) -> Result<(), WatermarkError>
+where
+    S: GridSource + ?Sized,
+    D: Fn(usize) -> (usize, usize),
+{
+    if suspect.source_layer_count() != n_layers {
         return Err(WatermarkError::ShapeMismatch(format!(
-            "suspect has {} layers, original {}",
+            "suspect has {} layers, original {n_layers}",
             suspect.source_layer_count(),
-            reference.source_layer_count()
         )));
     }
-    for l in 0..reference.source_layer_count() {
+    for l in 0..n_layers {
         let (a_in, a_out) = suspect.layer_dims(l);
-        let (b_in, b_out) = reference.layer_dims(l);
+        let (b_in, b_out) = reference_dims(l);
         if a_in != b_in || a_out != b_out {
             return Err(WatermarkError::ShapeMismatch(format!(
                 "layer {l}: suspect {a_in}x{a_out}, original {b_in}x{b_out}"

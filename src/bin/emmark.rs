@@ -37,13 +37,14 @@
 //!                                                   indexed leak tracing over a
 //!                                                   directory (one artifact file
 //!                                                   resident per worker)
-//! emmark identify-leak --secrets FILE --manifest FILE --suspect FILE
-//!                      [--threshold L] [--linear]   trace one leaked artifact to
-//!                                                   the responsible device through
+//! emmark identify-leak --manifest FILE --suspect FILE [--threshold L]
+//!                      [--linear --secrets FILE]    trace one leaked artifact to
+//!                                                   the responsible device from
 //!                                                   the manifest's inverted index
-//!                                                   (sublinear in fleet size;
-//!                                                   --linear forces the full scan,
-//!                                                   verdicts are bit-identical)
+//!                                                   alone (no vault; reads only
+//!                                                   the winner's shard); --linear
+//!                                                   forces the full scan over the
+//!                                                   vault, verdicts bit-identical
 //! emmark serve [--socket PATH] [--workers N] [--queue N] [--cache-families N]
 //!              [--retry-after-ms MS] [--max-resident-mb M]
 //!                                                   emmarkd: long-running service
@@ -70,16 +71,17 @@
 
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
 use emmark::core::deploy::{
-    artifact_version, decode_model, encode_model, encode_model_into, SparseArtifact, FORMAT_V2,
+    artifact_version, decode_model, encode_model, encode_model_into, CodecError, SparseArtifact,
+    FORMAT_V2,
 };
 use emmark::core::fleet::{FleetVerifier, NamedVerdicts};
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, provision_sharded_into,
-    IndexedFleetVerifier,
+    IndexedFleetVerifier, MANIFEST_VERSION,
 };
 use emmark::core::service::{read_frame, write_frame, Request, Service, ServiceConfig};
-use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
+use emmark::core::store::{ArtifactLayerStore, ArtifactSink, StoreError};
 use emmark::core::telemetry::{peak_resident_mib, Snapshot, Telemetry};
 use emmark::core::vault::{decode_secrets, encode_secrets};
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
@@ -164,8 +166,8 @@ USAGE:
                          [--jobs N] [--shards N] [--max-resident-mb M]
   emmark fleet-verify    --secrets FILE --manifest FILE --artifacts DIR
                          [--threshold L] [--jobs N]
-  emmark identify-leak   --secrets FILE --manifest FILE --suspect FILE
-                         [--threshold L] [--linear]
+  emmark identify-leak   --manifest FILE --suspect FILE [--threshold L]
+                         [--linear --secrets FILE]
   emmark serve           [--socket PATH] [--workers N] [--queue N]
                          [--cache-families N] [--retry-after-ms MS]
                          [--max-resident-mb M]
@@ -176,7 +178,9 @@ artifact file per worker at a time. --max-resident-mb fails the run if
 peak resident memory exceeded the budget (Linux VmHWM; reported
 best-effort elsewhere); on demo it also switches the stamp onto the
 streaming LayerStore pipeline (score → insert → encode one layer at a
-time).
+time). identify-leak answers from the manifest alone and never opens
+the owner vault; --secrets is read only by --linear, the vault-backed
+oracle.
 
 demo, verify, fleet-provision, fleet-verify, identify-leak, and serve
 also take
@@ -675,7 +679,8 @@ fn cmd_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `emmark inspect` over an EMFM shard manifest: the shard table and
 /// leak-index shape, without touching the shard files themselves.
 fn inspect_manifest(path: &str, bytes: &[u8], json: bool) -> Result<(), String> {
-    let manifest = decode_manifest(bytes).map_err(|e| e.to_string())?;
+    let manifest =
+        decode_manifest(bytes).map_err(|e| manifest_error(path, StoreError::Codec(e)))?;
     let fp = &manifest.fingerprint_config;
     if json {
         let shard_objs: Vec<String> = manifest
@@ -694,10 +699,12 @@ fn inspect_manifest(path: &str, bytes: &[u8], json: bool) -> Result<(), String> 
             })
             .collect();
         println!(
-            "{{\"kind\":\"shard-manifest\",\"total_devices\":{},\"shard_count\":{},\
+            "{{\"kind\":\"shard-manifest\",\"manifest_version\":{MANIFEST_VERSION},\
+             \"layer_count\":{},\"total_devices\":{},\"shard_count\":{},\
              \"leak_index_cells\":{},\
              \"fingerprint\":{{\"bits_per_layer\":{},\"pool_ratio\":{},\"selection_seed\":{}}},\
              \"shards\":[{}]}}",
+            manifest.index.layer_count(),
             manifest.total_devices,
             manifest.shards.len(),
             manifest.index.cell_count(),
@@ -709,6 +716,10 @@ fn inspect_manifest(path: &str, bytes: &[u8], json: bool) -> Result<(), String> 
         return Ok(());
     }
     println!("manifest: {path}");
+    println!(
+        "format  : EMFM v{MANIFEST_VERSION}, {} layers",
+        manifest.index.layer_count()
+    );
     println!(
         "devices : {} across {} shard(s)",
         manifest.total_devices,
@@ -827,16 +838,34 @@ fn list_artifacts(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(paths)
 }
 
+/// The directory a manifest's shard files live in.
+fn manifest_dir(manifest_path: &str) -> PathBuf {
+    Path::new(manifest_path)
+        .parent()
+        .map(Path::to_path_buf)
+        .unwrap_or_default()
+}
+
+/// A manifest load failure, with re-provisioning advice for manifests
+/// of another EMFM version.
+fn manifest_error(manifest_path: &str, e: StoreError) -> String {
+    match e {
+        StoreError::Codec(CodecError::BadVersion(v)) => format!(
+            "loading {manifest_path}: EMFM manifest version {v} is not supported (this build \
+             reads version {MANIFEST_VERSION}); re-provision the fleet with fleet-provision \
+             to write a version {MANIFEST_VERSION} manifest"
+        ),
+        e => format!("loading {manifest_path}: {e}"),
+    }
+}
+
 /// Loads a sharded registry from its manifest path, pulling shard files
 /// from the manifest's directory.
 fn load_manifest(manifest_path: &str) -> Result<emmark::core::registry::ShardedRegistry, String> {
     let manifest_bytes = read_file(manifest_path)?;
-    let dir = Path::new(manifest_path)
-        .parent()
-        .map(Path::to_path_buf)
-        .unwrap_or_default();
+    let dir = manifest_dir(manifest_path);
     load_sharded_registry(&manifest_bytes, |name| std::fs::read(dir.join(name)))
-        .map_err(|e| format!("loading {manifest_path}: {e}"))
+        .map_err(|e| manifest_error(manifest_path, e))
 }
 
 fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
@@ -922,51 +951,56 @@ fn cmd_fleet_verify(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_identify_leak(opts: &HashMap<String, String>) -> Result<(), String> {
-    let secrets =
-        decode_secrets(&read_file(required(opts, "secrets")?)?).map_err(|e| e.to_string())?;
     let threshold: f64 = parsed(opts, "threshold", -6.0)?;
-    let registry = load_manifest(required(opts, "manifest")?)?;
+    let manifest_path = required(opts, "manifest")?;
     let suspect_bytes = read_file(required(opts, "suspect")?)?;
-    let linear = opts.contains_key("linear");
-    println!(
-        "registry: {} devices, {} leak-index cells",
-        registry.devices().len(),
-        registry.index().cell_count()
-    );
-
     let start = std::time::Instant::now();
-    let verifier = registry.into_verifier(secrets).map_err(|e| e.to_string())?;
-    println!(
-        "verification cache built in {:.1} ms",
-        start.elapsed().as_secs_f64() * 1e3
-    );
-
-    // v2 artifacts are probed sparsely (only the indexed fingerprint
-    // cells are read); v1 falls back to a full decode.
-    let start = std::time::Instant::now();
-    let traced = if artifact_version(&suspect_bytes).map_err(|e| e.to_string())? == FORMAT_V2 {
-        let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
-        if linear {
-            verifier.verifier().identify_leak(&sparse, threshold)
-        } else {
+    let traced = if opts.contains_key("linear") {
+        // The oracle: rebuild the family from the vault and extract
+        // against every registered device.
+        let secrets_path = opts.get("secrets").ok_or(
+            "--linear scores every device against the owner vault: pass it with --secrets FILE",
+        )?;
+        let secrets = decode_secrets(&read_file(secrets_path)?).map_err(|e| e.to_string())?;
+        let (fp_cfg, devices, index) = load_manifest(manifest_path)?.into_parts();
+        println!(
+            "registry: {} devices, {} leak-index cells",
+            devices.len(),
+            index.cell_count()
+        );
+        let verifier =
+            FleetVerifier::from_parts(secrets, fp_cfg, devices).map_err(|e| e.to_string())?;
+        if artifact_version(&suspect_bytes).map_err(|e| e.to_string())? == FORMAT_V2 {
+            let sparse = SparseArtifact::open(&suspect_bytes).map_err(|e| e.to_string())?;
             verifier.identify_leak(&sparse, threshold)
-        }
-    } else {
-        let suspect = decode_model(&suspect_bytes).map_err(|e| e.to_string())?;
-        if linear {
-            verifier.verifier().identify_leak(&suspect, threshold)
         } else {
+            let suspect = decode_model(&suspect_bytes).map_err(|e| e.to_string())?;
             verifier.identify_leak(&suspect, threshold)
         }
-    }
-    .map_err(|e| e.to_string())?
-    .map(|(d, r)| (d.clone(), r));
+        .map_err(|e| e.to_string())?
+        .map(|(d, r)| (d.clone(), r))
+    } else {
+        // The manifest alone: its index holds every device's expected
+        // deltas and the base values they are taken against, so the
+        // vault (--secrets, if given) is never opened and only the
+        // winner's shard is read.
+        let manifest = decode_manifest(&read_file(manifest_path)?)
+            .map_err(|e| manifest_error(manifest_path, StoreError::Codec(e)))?;
+        println!(
+            "registry: {} devices, {} leak-index cells",
+            manifest.total_devices,
+            manifest.index.cell_count()
+        );
+        manifest
+            .identify_artifact(&manifest_dir(manifest_path), &suspect_bytes, threshold)
+            .map_err(|e| manifest_error(manifest_path, e))?
+    };
     println!(
         "{} identification in {:.2} ms",
-        if linear {
+        if opts.contains_key("linear") {
             "linear (every device scored)"
         } else {
-            "indexed (bucket-narrowed)"
+            "indexed (manifest only)"
         },
         start.elapsed().as_secs_f64() * 1e3
     );

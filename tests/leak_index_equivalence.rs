@@ -4,16 +4,21 @@
 //! verdict — same device, same matched-bit counts, same chance-match
 //! probability — as the linear scan over every registered device, on
 //! honest suspects, near-misses (base watermark only, pristine), and
-//! adversarial cross-device splices. The index only narrows candidates;
-//! Eq. 8 decides.
+//! adversarial cross-device splices. The index's exact bucket counts
+//! *are* the Eq. 7 matches, so it decides alone: through the engine
+//! wrappers, and from a decoded manifest with no vault at all. A
+//! manifest whose persisted base values disagree with the vault is
+//! refused wherever the vault is at hand.
 
 use emmark::attacks::overwrite::{overwrite_attack, OverwriteConfig};
 use emmark::core::fleet::FleetVerifier;
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
-    decode_manifest, encode_manifest, load_sharded_registry, provision_sharded,
+    decode_manifest, encode_manifest, load_sharded_registry, manifest_section_boundaries,
+    provision_sharded, shard_checksum, IndexedFleetVerifier, ShardedFleet,
 };
-use emmark::core::watermark::{GridSource, OwnerSecrets, WatermarkConfig};
+use emmark::core::store::StoreError;
+use emmark::core::watermark::{GridSource, OwnerSecrets, WatermarkConfig, WatermarkError};
 use emmark::nanolm::model::ActivationStats;
 use emmark::nanolm::{ModelConfig, TransformerModel};
 use emmark::quant::awq::{awq, AwqConfig};
@@ -246,4 +251,170 @@ fn index_over_a_different_population_is_rejected() {
         .identify_leak_indexed(&small.leak_index(), &suspect, -6.0)
         .expect_err("population mismatch");
     assert!(err.to_string().contains("devices"), "{err}");
+}
+
+/// The AWQ fleet of `persisted_manifest_index_matches_the_freshly_built_one`:
+/// the vault secrets, the provisioner, device ids and the sharded fleet.
+fn awq_fleet(devices: usize) -> (OwnerSecrets, FleetProvisioner, Vec<String>, ShardedFleet) {
+    let mut model = TransformerModel::new(ModelConfig::tiny_test());
+    let calib: Vec<Vec<u32>> = (0..4u32)
+        .map(|s| (0..16u32).map(|i| (i * 7 + s * 3) % 31).collect())
+        .collect();
+    let stats = model.collect_activation_stats(&calib);
+    let qm = awq(&model, &stats, &AwqConfig::default());
+    let base_cfg = WatermarkConfig {
+        bits_per_layer: 4,
+        pool_ratio: 10,
+        ..Default::default()
+    };
+    let base = OwnerSecrets::new(qm, stats, base_cfg, 0xF1EE7);
+    let fp_cfg = WatermarkConfig {
+        bits_per_layer: 3,
+        pool_ratio: 10,
+        selection_seed: 0xDE11CE,
+        ..Default::default()
+    };
+    let provisioner = FleetProvisioner::new(base.clone(), fp_cfg).expect("provisioner");
+    let ids: Vec<String> = (0..devices).map(|i| format!("edge-{i:02}")).collect();
+    let fleet = provision_sharded(&provisioner, &ids, 3, None).expect("provision");
+    (base, provisioner, ids, fleet)
+}
+
+/// Reads shard `name` of `fleet`, counting the reads.
+fn shard_reader<'a>(
+    fleet: &'a ShardedFleet,
+    reads: &'a std::cell::Cell<usize>,
+) -> impl Fn(&str) -> std::io::Result<Vec<u8>> + 'a {
+    move |name| {
+        reads.set(reads.get() + 1);
+        fleet
+            .shards
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, b)| b.to_vec())
+            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, name.to_string()))
+    }
+}
+
+#[test]
+fn manifest_only_identification_matches_the_linear_scan() {
+    let (base, provisioner, ids, fleet) = awq_fleet(9);
+    let manifest = decode_manifest(&encode_manifest(&fleet.manifest)).expect("decode");
+    let devices = ids
+        .iter()
+        .map(|id| provisioner.provision_model(id).0)
+        .collect();
+    let verifier = provisioner.verifier(devices);
+    let mut attacked = provisioner.provision_model(&ids[7]).1;
+    overwrite_attack(
+        &mut attacked,
+        &OverwriteConfig {
+            per_layer: 20,
+            seed: 3,
+        },
+    );
+    let mut suspects: Vec<(String, QuantizedModel)> = ids
+        .iter()
+        .map(|id| (id.clone(), provisioner.provision_model(id).1))
+        .collect();
+    suspects.push(("base-only".into(), provisioner.base_deployed().clone()));
+    suspects.push(("pristine".into(), base.original.clone()));
+    suspects.push(("attacked".into(), attacked));
+    for (label, suspect) in &suspects {
+        for &t in THRESHOLDS {
+            let reads = std::cell::Cell::new(0);
+            let from_manifest = manifest
+                .identify_leak(suspect, t, shard_reader(&fleet, &reads))
+                .expect("manifest identify")
+                .map(|(d, r)| (d.device_id, r));
+            let linear = verifier
+                .identify_leak(suspect, t)
+                .expect("linear identify")
+                .map(|(d, r)| (d.device_id.clone(), r));
+            assert_eq!(from_manifest, linear, "{label} at threshold 10^{t}");
+            // Only the winner's shard is read; an outside suspect reads
+            // none.
+            assert_eq!(reads.get(), usize::from(linear.is_some()), "{label}");
+        }
+    }
+}
+
+#[test]
+fn foreign_grids_get_the_linear_scans_shape_mismatch() {
+    let (_, provisioner, ids, fleet) = awq_fleet(4);
+    let manifest = decode_manifest(&encode_manifest(&fleet.manifest)).expect("decode");
+    let verifier = provisioner.verifier(
+        ids.iter()
+            .map(|id| provisioner.provision_model(id).0)
+            .collect(),
+    );
+    let index = verifier.leak_index();
+    let foreign = |edit: fn(&mut ModelConfig)| {
+        let mut cfg = ModelConfig::tiny_test();
+        edit(&mut cfg);
+        QuantizedModel::quantize_with(&TransformerModel::new(cfg), "rtn", |_, lin| {
+            quantize_linear_rtn(lin, 8, Granularity::PerOutChannel, ActQuant::None)
+        })
+    };
+    let fewer_layers = foreign(|c| c.n_layers = 1);
+    let wider = foreign(|c| c.d_ff += 8);
+    for (label, suspect) in [("fewer layers", &fewer_layers), ("wider", &wider)] {
+        let linear = verifier
+            .identify_leak(suspect, -6.0)
+            .expect_err("linear shape mismatch");
+        assert!(
+            matches!(linear, WatermarkError::ShapeMismatch(_)),
+            "{label}"
+        );
+        let indexed = verifier
+            .identify_leak_indexed(&index, suspect, -6.0)
+            .expect_err("indexed shape mismatch");
+        assert_eq!(indexed, linear, "{label}");
+        let reads = std::cell::Cell::new(0);
+        match manifest.identify_leak(suspect, -6.0, shard_reader(&fleet, &reads)) {
+            Err(StoreError::Watermark(e)) => assert_eq!(e, linear, "{label}"),
+            other => panic!("{label}: expected the shape mismatch, got {other:?}"),
+        }
+        assert_eq!(reads.get(), 0, "{label}");
+    }
+}
+
+#[test]
+fn tampered_base_value_is_refused_where_the_vault_is_at_hand() {
+    let (base, provisioner, _, fleet) = awq_fleet(6);
+    let mut bytes = encode_manifest(&fleet.manifest).to_vec();
+    // The first index cell's (layer, flat) and its base byte: the base
+    // column follows the cells and precedes the shape table and trailer.
+    let boundaries = manifest_section_boundaries(&bytes).expect("boundaries");
+    let cells_start = boundaries[6 + fleet.manifest.shards.len()];
+    let layer = u32::from_le_bytes(bytes[cells_start..cells_start + 4].try_into().unwrap());
+    let flat = u64::from_le_bytes(bytes[cells_start + 4..cells_start + 12].try_into().unwrap());
+    let index = &fleet.manifest.index;
+    let base_byte = bytes.len() - 8 - (4 + 8 * index.layer_count()) - index.cell_count();
+    bytes[base_byte] = bytes[base_byte].wrapping_add(1);
+    // Re-stamp the trailer: the manifest is now self-consistent.
+    let body = bytes.len() - 8;
+    let sum = shard_checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+
+    let registry = load_sharded_registry(&bytes, |name| {
+        fleet
+            .shards
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, b)| b.to_vec())
+            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, name.to_string()))
+    })
+    .expect("a re-stamped manifest loads");
+    let want = format!("layer {layer}, cell {flat}");
+    let err = registry
+        .clone()
+        .into_verifier(base)
+        .expect_err("tampered base value");
+    assert!(err.to_string().contains(&want), "{err}");
+    let (_, devices, index) = registry.into_parts();
+    let err = IndexedFleetVerifier::new(provisioner.verifier(devices), index)
+        .expect_err("tampered base value");
+    assert!(matches!(err, WatermarkError::InvalidConfig(_)), "{err:?}");
+    assert!(err.to_string().contains(&want), "{err}");
 }

@@ -4,14 +4,16 @@
 //! cleanly — never panic, never load a damaged fleet — and the shard
 //! loader must reject mixed-version layouts, overlapping or gapped
 //! device ranges, checksum/length mismatches, and a leak index naming
-//! devices the registry does not have.
+//! devices the registry does not have or cells outside its shape
+//! table. Version 1 manifests are refused by version, and the version 2
+//! trailer checksum catches any structurally valid edit.
 
 use emmark::core::deploy::CodecError;
 use emmark::core::fleet::{decode_registry, encode_registry, registry_entry};
 use emmark::core::provision::FleetProvisioner;
 use emmark::core::registry::{
     decode_manifest, encode_manifest, load_sharded_registry, manifest_section_boundaries,
-    provision_sharded, shard_checksum, ShardedFleet,
+    provision_sharded, shard_checksum, ShardedFleet, MANIFEST_VERSION,
 };
 use emmark::core::store::StoreError;
 use emmark::core::watermark::{OwnerSecrets, WatermarkConfig};
@@ -152,7 +154,10 @@ fn foreign_versions_are_rejected() {
     evil[REGISTRY_VERSION_WORD..REGISTRY_VERSION_WORD + 4].copy_from_slice(&2u32.to_le_bytes());
     assert_eq!(
         decode_manifest(&evil).expect_err("mixed registry version"),
-        CodecError::MixedVersion { outer: 1, inner: 2 }
+        CodecError::MixedVersion {
+            outer: MANIFEST_VERSION,
+            inner: 2
+        }
     );
 
     // A shard file of a foreign registry version under a consistent
@@ -166,7 +171,10 @@ fn foreign_versions_are_rejected() {
     fleet.shards[0].1 = shard0.into();
     let bytes = encode_manifest(&fleet.manifest).to_vec();
     match load(&bytes, &fleet).expect_err("mixed shard version") {
-        StoreError::Codec(CodecError::MixedVersion { outer: 1, inner: 2 }) => {}
+        StoreError::Codec(CodecError::MixedVersion {
+            outer: MANIFEST_VERSION,
+            inner: 2,
+        }) => {}
         other => panic!("expected MixedVersion, got {other:?}"),
     }
 }
@@ -365,4 +373,102 @@ fn registry_errors_carry_device_section_context_too() {
     let msg = err.to_string();
     assert!(msg.contains("device 1"), "unhelpful error: {msg}");
     assert!(msg.contains("byte"), "no offset in: {msg}");
+}
+
+/// Re-stamps a manifest's trailer after an in-place edit, so only the
+/// structural checks stand between the edit and a decoded manifest.
+fn restamp(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let sum = shard_checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Offset of the per-cell base column: it follows the cells and
+/// precedes the shape table (u32 count + 8 bytes per layer) and the
+/// 8-byte trailer.
+fn base_column_start(fleet: &ShardedFleet, len: usize) -> usize {
+    let index = &fleet.manifest.index;
+    len - 8 - (4 + 8 * index.layer_count()) - index.cell_count()
+}
+
+#[test]
+fn version_1_manifests_are_refused_by_version() {
+    let (_, fleet) = sharded_fleet(6, 4, 2);
+    let mut bytes = encode_manifest(&fleet.manifest).to_vec();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    restamp(&mut bytes);
+    assert_eq!(
+        decode_manifest(&bytes).expect_err("v1 manifest"),
+        CodecError::BadVersion(1)
+    );
+    assert_eq!(MANIFEST_VERSION, 2);
+}
+
+#[test]
+fn checksum_catches_structurally_valid_edits() {
+    let (_, fleet) = sharded_fleet(7, 6, 2);
+    let bytes = encode_manifest(&fleet.manifest).to_vec();
+    let boundaries = manifest_section_boundaries(&bytes).expect("boundaries");
+    let checksum_mismatch = |evil: &[u8]| match decode_manifest(evil) {
+        Err(CodecError::Corrupt { msg, .. }) => msg == "manifest checksum mismatch",
+        _ => false,
+    };
+
+    // One base value nudged by one level: every structural check passes.
+    let base = base_column_start(&fleet, bytes.len());
+    let mut evil = bytes.clone();
+    evil[base + 1] = evil[base + 1].wrapping_add(1);
+    assert!(checksum_mismatch(&evil), "{:?}", decode_manifest(&evil));
+    // The same edit, re-stamped, decodes — the checksum was the only
+    // guard, and the base value really moved.
+    restamp(&mut evil);
+    let decoded = decode_manifest(&evil).expect("re-stamped edit decodes");
+    assert_ne!(decoded.index, fleet.manifest.index);
+
+    // One bucket id swapped for another in-range id in a one-entry
+    // bucket: still ascending, still in range.
+    let cells_start = boundaries[6 + fleet.manifest.shards.len()];
+    let total = fleet.manifest.total_devices as u32;
+    let mut pos = cells_start;
+    let lone = loop {
+        pos += 12; // layer + flat
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        if len == 1 {
+            break pos + 4;
+        }
+        pos += 4 + 4 * len as usize;
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        pos += 4 + 4 * len as usize;
+    };
+    let id = u32::from_le_bytes(bytes[lone..lone + 4].try_into().unwrap());
+    let mut evil = bytes.clone();
+    evil[lone..lone + 4].copy_from_slice(&((id + 1) % total).to_le_bytes());
+    assert!(checksum_mismatch(&evil), "{:?}", decode_manifest(&evil));
+
+    // A flipped trailer byte, and trailing bytes after the trailer.
+    let mut evil = bytes.clone();
+    let last = evil.len() - 1;
+    evil[last] ^= 0x01;
+    assert!(checksum_mismatch(&evil), "{:?}", decode_manifest(&evil));
+    let mut evil = bytes.clone();
+    evil.push(0);
+    let err = decode_manifest(&evil).expect_err("trailing byte");
+    assert!(err.to_string().contains("trailing"), "{err}");
+}
+
+#[test]
+fn cells_outside_the_shape_table_are_corrupt() {
+    let (_, fleet) = sharded_fleet(8, 6, 2);
+    let bytes = encode_manifest(&fleet.manifest).to_vec();
+    let index = &fleet.manifest.index;
+    // Shrink the last layer's recorded shape to 1x1: every indexed cell
+    // of that layer (all at flat >= 1 but one, at most) falls outside.
+    let shapes = bytes.len() - 8 - 8 * index.layer_count();
+    let last = shapes + 8 * (index.layer_count() - 1);
+    let mut evil = bytes.clone();
+    evil[last..last + 8].copy_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0]);
+    restamp(&mut evil);
+    let err = decode_manifest(&evil).expect_err("cell outside the shape table");
+    assert!(matches!(err, CodecError::Corrupt { .. }), "{err:?}");
+    assert!(err.to_string().contains("outside"), "{err}");
 }

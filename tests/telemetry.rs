@@ -13,6 +13,10 @@
 //!   span) both record.
 //! * **Artifact reads** — directory verification records one read
 //!   span per artifact file and counts exactly the bytes it read.
+//! * **Manifest-only identification** — an indexed identify, in
+//!   process and through the service, decodes the manifest once, reads
+//!   at most the winner's shard, and never decodes the vault, builds a
+//!   family, or scans a scoring cell.
 //! * **Disabled mode** — the same pipeline with telemetry off records
 //!   nothing: every counter zero, every histogram empty.
 //!
@@ -20,10 +24,15 @@
 //! covers the global state, which is why every test serializes on one
 //! lock and resets the registry before and after.
 
+use emmark::core::deploy::encode_model;
 use emmark::core::provision::FleetProvisioner;
-use emmark::core::registry::IndexedFleetVerifier;
+use emmark::core::registry::{
+    decode_manifest, encode_manifest, provision_sharded_into, IndexedFleetVerifier,
+};
+use emmark::core::service::{Blob, Request, Response, Service, ServiceConfig};
 use emmark::core::store::{ArtifactLayerStore, ArtifactSink};
 use emmark::core::telemetry::{Snapshot, Telemetry};
+use emmark::core::vault::encode_secrets;
 use emmark::core::watermark::{stream_watermark, OwnerSecrets, WatermarkConfig};
 use emmark::nanolm::{ModelConfig, TransformerModel};
 use emmark::quant::awq::{awq, AwqConfig};
@@ -456,6 +465,13 @@ fn directory_verification_times_and_counts_each_artifact_read() {
 
 /// A three-device fleet over a tiny AWQ model.
 fn tiny_fleet() -> (FleetProvisioner, Vec<String>) {
+    let (secrets, fp_cfg) = tiny_secrets();
+    let provisioner = FleetProvisioner::new(secrets, fp_cfg).expect("provisioner");
+    (provisioner, (0..3).map(|i| format!("dev-{i}")).collect())
+}
+
+/// The owner secrets and fingerprint config of [`tiny_fleet`].
+fn tiny_secrets() -> (OwnerSecrets, WatermarkConfig) {
     let mut model = TransformerModel::new(ModelConfig::tiny_test());
     let calib: Vec<Vec<u32>> = (0..4u32)
         .map(|s| (0..16u32).map(|i| (i * 7 + s) % 31).collect())
@@ -473,9 +489,108 @@ fn tiny_fleet() -> (FleetProvisioner, Vec<String>) {
         selection_seed: 0x7E1E,
         ..Default::default()
     };
-    let secrets = OwnerSecrets::new(qm, stats, base_cfg, 0x7E1E);
+    (OwnerSecrets::new(qm, stats, base_cfg, 0x7E1E), fp_cfg)
+}
+
+/// What one indexed identify may record: one manifest decode, one
+/// shard load per traced device, and nothing of the vault-backed
+/// engine — no vault decode, no family build, no scoring.
+fn assert_manifest_only(path: &str, shard_loads: u64) {
+    let spans = |name: &str| Telemetry::histogram(name).expect(name).count();
+    let count = |name: &str| Telemetry::counter(name).expect(name).get();
+    assert_eq!(
+        spans("emmark_manifest_load_ns"),
+        1,
+        "{path}: manifest loads"
+    );
+    assert_eq!(
+        spans("emmark_shard_load_ns"),
+        shard_loads,
+        "{path}: shard loads"
+    );
+    assert_eq!(spans("emmark_vault_decode_ns"), 0, "{path}: vault decodes");
+    assert_eq!(
+        count("emmark_scoring_cells_scanned_total"),
+        0,
+        "{path}: scoring cells"
+    );
+    assert_eq!(
+        count("emmark_fleet_family_cache_misses_total"),
+        0,
+        "{path}: family builds"
+    );
+}
+
+#[test]
+fn indexed_identification_reads_the_manifest_and_nothing_of_the_vault() {
+    let _guard = lock();
+    Telemetry::reset();
+    let (secrets, fp_cfg) = tiny_secrets();
+    let vault = encode_secrets(&secrets);
     let provisioner = FleetProvisioner::new(secrets, fp_cfg).expect("provisioner");
-    (provisioner, (0..3).map(|i| format!("dev-{i}")).collect())
+    let ids: Vec<String> = (0..3).map(|i| format!("dev-{i}")).collect();
+    let dir =
+        std::env::temp_dir().join(format!("emmark-telemetry-identify-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    provisioner
+        .provision_files(&ids, &dir, Some(1))
+        .expect("provision");
+    let manifest = provision_sharded_into(&provisioner, &ids, 2, Some(1), |name, bytes| {
+        std::fs::write(dir.join(name), bytes)
+    })
+    .expect("shards");
+    let manifest_path = dir.join("fleet.emfm");
+    std::fs::write(&manifest_path, encode_manifest(&manifest)).expect("manifest");
+    let vault_path = dir.join("secrets.emws");
+    std::fs::write(&vault_path, &vault).expect("vault");
+    let leak_path = dir.join("dev-1.emqm");
+    let leak = std::fs::read(&leak_path).expect("leak");
+    let outside = encode_model(provisioner.base_deployed());
+    Telemetry::reset();
+
+    // In process, as `emmark identify-leak` runs it: a traced leak reads
+    // the winner's shard, an outside suspect none.
+    for (suspect, traced, shard_loads) in [(&leak[..], Some("dev-1"), 1), (&outside[..], None, 0)] {
+        Telemetry::set_enabled(true);
+        let manifest =
+            decode_manifest(&std::fs::read(&manifest_path).expect("read")).expect("decode");
+        let found = manifest
+            .identify_artifact(&dir, suspect, -6.0)
+            .expect("identify");
+        Telemetry::set_enabled(false);
+        assert_eq!(found.map(|(d, _)| d.device_id).as_deref(), traced);
+        assert_manifest_only("in-process", shard_loads);
+        Telemetry::reset();
+    }
+
+    // Through the service, with a real vault path it must not open.
+    let path = |p: &PathBuf| Blob::Path(p.display().to_string());
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    Telemetry::set_enabled(true);
+    let response = service.request(
+        1,
+        &Request::IdentifyLeak {
+            secrets: path(&vault_path),
+            registry: path(&manifest_path),
+            suspect: path(&leak_path),
+            log10_threshold: -6.0,
+            linear: false,
+        },
+    );
+    drop(service);
+    Telemetry::set_enabled(false);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    match response {
+        Response::Identify {
+            matched: Some((device, _)),
+        } => assert_eq!(device.device_id, "dev-1"),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_manifest_only("service", 1);
+    Telemetry::reset();
 }
 
 #[test]
